@@ -47,7 +47,10 @@ def _load_config_file(path):
         key, sep, val = line.partition("=")
         if not sep:
             raise GraphFormatError(f"config line {lineno}: expected key=value")
-        cfg[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in DEFAULTS:
+            raise GraphFormatError(f"config line {lineno}: unknown key {key!r}")
+        cfg[key] = val.strip()
     return cfg
 
 
@@ -65,8 +68,7 @@ def resolve_config(args):
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         for key, val in _load_config_file(args.config).items():
-            if key in cfg:
-                cfg[key] = _coerce(key, val)
+            cfg[key] = _coerce(key, val)
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -79,6 +81,9 @@ def resolve_config(args):
         raise GraphFormatError(f"rho {cfg['rho']} outside (0,1]")
     if cfg["iterations"] < 0:
         raise GraphFormatError("iterations must be >= 0")
+    for key in ("trace_stride", "snapshot_stride"):
+        if cfg[key] < 1:
+            raise GraphFormatError(f"{key} must be >= 1")
     return cfg
 
 
@@ -130,20 +135,14 @@ def cmd_centrality(args):
     return 0
 
 
-def _oracle_vector(g, m):
-    w = build_hyperlink_matrix(g)
-    if g.n <= DENSE_ORACLE_LIMIT:
-        return direct_ls_solve(build_regression_rows(w, m)).x
-    return power_method(w, m, tol=1e-12).x
-
-
 def cmd_pagerank(args):
     cfg = resolve_config(args)
     g = repair_dangling(parse_edge_list(Path(args.input).read_text()),
                         cfg["dangling"])
     m = cfg["damping"]
     outdir = cfg["output_dir"]
-    oracle_x = _oracle_vector(g, m) if g.n <= DENSE_ORACLE_LIMIT else None
+    oracle_x = (direct_ls_solve(build_regression_rows(build_hyperlink_matrix(g), m)).x
+                if g.n <= DENSE_ORACLE_LIMIT else None)
 
     kernel = surfer.build_transition_matrix(g, cfg["omega"])
     chain = surfer.SurferChain(matrix=kernel, omega=cfg["omega"], seed=cfg["seed"])
@@ -154,6 +153,8 @@ def cmd_pagerank(args):
         sim = simulator.run_simulation(
             g, m, chain, cfg["iterations"], trace_stride=cfg["trace_stride"],
             oracle_x=oracle_x, rows_diag=rows_diag)
+        if sim.audit.violations(sim.actors):
+            raise ConsistencyError("locality audit found non-neighbor accesses")
         x = simulator.assemble_vector(sim.actors)
         trace_rows = sim.trace_rows
         sizes = {i: sim.size_estimates.get(i) for i in range(g.n)}
@@ -163,8 +164,6 @@ def cmd_pagerank(args):
             size_lines.append(
                 f"{g.labels[i]},{'absent' if est is None else tables.format_value(est)}")
         _write(outdir, "size_estimates.csv", "\n".join(size_lines) + "\n")
-        if sim.audit.violations(sim.actors):
-            raise ConsistencyError("locality audit found non-neighbor accesses")
     elif mode in ("known-n", "unknown-n"):
         rows = rows_from_graph(g, m, n_known=(mode == "known-n"))
         res = engine.run(rows, chain, mode, cfg["iterations"],
@@ -229,9 +228,6 @@ def cmd_oracle(args):
     outdir = cfg["output_dir"]
     w = build_hyperlink_matrix(g)
     pm = power_method(w, m, tol=1e-13)
-    if g.n > DENSE_ORACLE_LIMIT:
-        raise GraphFormatError(
-            f"dense LS oracle limited to n <= {DENSE_ORACLE_LIMIT}")
     ls = direct_ls_solve(build_regression_rows(w, m))
     gap = float(np.abs(ls.x - pm.x).max())
     if gap > cfg["oracle_tol"]:

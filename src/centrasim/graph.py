@@ -46,18 +46,9 @@ class DirectedGraph:
             uniform_columns=frozenset(uniform_columns),
         )
 
-    def out_degree(self, i):
-        return len(self.out_adj[i])
-
-    def in_degree(self, i):
-        return len(self.in_adj[i])
-
     def dangling_nodes(self):
         return [i for i in range(self.n)
                 if not self.out_adj[i] and i not in self.uniform_columns]
-
-    def label_index(self):
-        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 @dataclass(frozen=True)
@@ -84,7 +75,8 @@ def _tokenize(text):
 def parse_edge_list(text):
     """Parse `src dst` label pairs into a DirectedGraph.
 
-    Duplicate edges collapse silently; a self-loop is an error.
+    Duplicate edges collapse silently; a self-loop or an input without
+    edges is an error.
     """
     index = {}
     labels = []
@@ -103,6 +95,8 @@ def parse_edge_list(text):
         if src == dst:
             raise GraphFormatError(f"line {lineno}: self-loop on node {src!r}")
         edges.add((node(src), node(dst)))
+    if not edges:
+        raise GraphFormatError("no edges in edge list")
     return DirectedGraph.from_edges(len(labels), edges, labels=labels)
 
 

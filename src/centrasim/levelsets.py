@@ -33,12 +33,6 @@ class LevelSets:
     l: tuple[tuple[frozenset, ...], ...]
     t_max: int
 
-    def forward_reach(self, i):
-        out = set()
-        for s in self.r[i]:
-            out |= s
-        return out
-
 
 @dataclass
 class MessageAudit:

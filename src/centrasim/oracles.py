@@ -4,11 +4,17 @@ The regression row of node i is H_i = e_i - (1-m) * (row i of W): a one on
 the diagonal and -(1-m)/outdeg(j) at every in-neighbor j. Solving the
 stacked system H x = (m/n) 1 gives the PageRank exactly, and the solution
 sums to one without any explicit normalization.
+
+Both row builders compute only their off-diagonal coefficients, from a
+matrix ((1-m)*W_ij) or from out-degrees ((1-m)/outdeg(j)); the two differ
+in the last bit for some degrees, so each keeps its own. One vectorized
+assembly then lays every row out as the diagonal followed by the sorted
+in-neighbor columns and stacks the CSR once, for diagnostics and solves.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -23,9 +29,10 @@ DENSE_ORACLE_LIMIT = 10_000
 class RegressionRows:
     """Condensed sparse rows H_i, aligned index/coefficient arrays.
 
-    idx[i][0] == i (diagonal), followed by the sorted in-neighbor columns.
-    y is the common target m/n, or None when the network size is withheld
-    (the unknown-size engine supplies its own running estimate).
+    idx[i][0] == i (diagonal), followed by the sorted in-neighbor columns;
+    idx[i] and coef[i] are views into one flat layout. y is the common
+    target m/n, or None when the network size is withheld (the unknown-size
+    engine supplies its own running estimate).
     """
 
     n: int
@@ -33,15 +40,12 @@ class RegressionRows:
     idx: tuple[np.ndarray, ...]
     coef: tuple[np.ndarray, ...]
     y: float | None
+    csr: sp.csr_matrix = field(repr=False, compare=False)
 
     def matrix(self):
-        """Stacked rows as a CSR matrix (diagnostics and direct solves)."""
-        rows, cols, vals = [], [], []
-        for i in range(self.n):
-            rows.extend([i] * len(self.idx[i]))
-            cols.extend(self.idx[i].tolist())
-            vals.extend(self.coef[i].tolist())
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        """Stacked rows as a CSR matrix with sorted columns (diagnostics and
+        direct solves); built once with the rows."""
+        return self.csr
 
 
 @dataclass(frozen=True)
@@ -51,65 +55,64 @@ class LsSolution:
     iterations: int = 0
 
 
+def _assemble(n, m, diag, rows, cols, vals, n_known):
+    """Stack rows from the diagonal and the off-diagonal (row, col, value)
+    triples, which arrive sorted by row, then by column."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n) + 1, out=indptr[1:])
+    first = indptr[:-1]
+    off = np.ones(indptr[-1], dtype=bool)
+    off[first] = False
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[first] = np.arange(n)
+    indices[off] = cols
+    data = np.empty(indptr[-1])
+    data[first] = diag
+    data[off] = vals
+    csr = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=True)
+    csr.sort_indices()
+    cuts = indptr[1:-1]
+    return RegressionRows(n=n, m=m, idx=tuple(np.split(indices, cuts)),
+                          coef=tuple(np.split(data, cuts)),
+                          y=m / n if n_known else None, csr=csr)
+
+
 def build_regression_rows(w, m, n_known=True):
     """Rows of I - (1-m)W from a column-stochastic W (scipy sparse)."""
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
-    n = w.shape[0]
-    wr = w.tocsr()
-    idx = []
-    coef = []
-    for i in range(n):
-        cols = wr.indices[wr.indptr[i]:wr.indptr[i + 1]]
-        vals = wr.data[wr.indptr[i]:wr.indptr[i + 1]]
-        order = np.argsort(cols)
-        cols = cols[order]
-        vals = vals[order]
-        self_pos = np.searchsorted(cols, i)
-        has_self = self_pos < len(cols) and cols[self_pos] == i
-        if has_self:
-            # No self-loops upstream, but uniform columns never hit the
-            # diagonal either; guard anyway.
-            row_idx = np.concatenate(([i], np.delete(cols, self_pos)))
-            row_coef = np.concatenate(
-                ([1.0 - (1.0 - m) * vals[self_pos]],
-                 -(1.0 - m) * np.delete(vals, self_pos))
-            )
-        else:
-            row_idx = np.concatenate(([i], cols))
-            row_coef = np.concatenate(([1.0], -(1.0 - m) * vals))
-        idx.append(row_idx.astype(np.int64))
-        coef.append(row_coef.astype(np.float64))
-    y = m / n if n_known else None
-    return RegressionRows(n=n, m=m, idx=tuple(idx), coef=tuple(coef), y=y)
+    coo = w.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+    off = rows != cols
+    # No self-loops upstream, so the diagonal is 1; a diagonal entry of W
+    # would fold into it.
+    diag = 1.0 - (1.0 - m) * w.diagonal()
+    return _assemble(w.shape[0], m, diag, rows[off], cols[off],
+                     -(1.0 - m) * vals[off], n_known)
 
 
 def rows_from_graph(g, m, n_known=True):
     """Build rows straight from adjacency, never touching a matrix.
 
-    Equivalent to build_regression_rows(build_hyperlink_matrix(g), m); used
-    by the engines so that each node's row depends only on its in-neighbor
-    list and their out-degrees.
+    Equivalent to build_regression_rows(build_hyperlink_matrix(g), m) up to
+    the last bit; used by the engines so that each node's row depends only
+    on its in-neighbor list and their out-degrees.
     """
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
-    out_deg = [len(a) for a in g.out_adj]
-    uniform = g.uniform_columns
     n = g.n
-    idx = []
-    coef = []
-    for i in range(n):
-        nbrs = sorted(set(g.in_adj[i]) | {j for j in uniform if j != i})
-        vals = []
-        for j in nbrs:
-            if j in uniform:
-                vals.append(-(1.0 - m) / (n - 1))
-            else:
-                vals.append(-(1.0 - m) / out_deg[j])
-        idx.append(np.array([i] + nbrs, dtype=np.int64))
-        coef.append(np.array([1.0] + vals, dtype=np.float64))
-    y = m / n if n_known else None
-    return RegressionRows(n=n, m=m, idx=tuple(idx), coef=tuple(coef), y=y)
+    edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    uniform = np.array(sorted(g.uniform_columns), dtype=np.int64)
+    ui = np.repeat(np.arange(n), uniform.size)
+    uj = np.tile(uniform, n)
+    keys = np.unique(np.concatenate((edges[:, 1] * n + edges[:, 0],
+                                     (ui * n + uj)[ui != uj])))
+    rows, cols = keys // n, keys % n
+    denom = np.array([len(a) for a in g.out_adj], dtype=np.int64)
+    denom[uniform] = n - 1
+    return _assemble(n, m, np.ones(n), rows, cols, -(1.0 - m) / denom[cols],
+                     n_known)
 
 
 def ls_objective(x, rows, y=None):

@@ -2,10 +2,12 @@
 
 Each page owns its own importance value and a condensed row over its
 in-neighbors. An activation pulls the neighbors' current values, applies
-the same projection the centralized engine would, and pushes the changed
-values back; the activation token carries the global counter so nobody
-needs a clock. Every read and write is logged so tests can prove that an
-activation of s touches nothing outside s and its in-neighbors.
+the engine's own project to them, and pushes the changed values back; the
+activation token carries the global counter so nobody needs a clock. The
+engine's drive runs the sample/activate/trace loop, so engine and simulator
+traces agree bit for bit by construction. Every read and write is logged so
+tests can prove that an activation of s touches nothing outside s and its
+in-neighbors.
 """
 from __future__ import annotations
 
@@ -13,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import format_trace_row
-from .oracles import ls_objective
+from .engine import drive, project
 
 
 @dataclass
@@ -25,7 +26,6 @@ class NodeActor:
     m: float
     own_value: float = 0.0
     visit_count: int = 0
-    neighbor_values: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -69,16 +69,10 @@ def activate(actors, token, s, audit=None):
     actor = actors[s]
     nbrs = actor.in_nbrs
     # pull phase: every in-neighbor sends its current value
-    pulled = np.empty(len(nbrs) + 1)
-    pulled[0] = actor.own_value
-    for pos, j in enumerate(nbrs):
-        actor.neighbor_values[int(j)] = actors[j].own_value
-        pulled[pos + 1] = actors[j].own_value
+    pulled = np.array([actor.own_value] + [actors[j].own_value for j in nbrs])
     actor.visit_count += 1
     alpha = actor.visit_count / (token.k + 1)
-    y_hat = actor.m * alpha
-    r = y_hat - actor.coef @ pulled
-    updated = pulled + alpha * actor.coef * r
+    updated = project(pulled, actor.coef, actor.m * alpha, alpha)
     # push phase: changed values return to their owners
     actor.own_value = updated[0]
     for pos, j in enumerate(nbrs):
@@ -120,18 +114,14 @@ def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
     actors = init_nodes(g, m)
     token = ActivationToken()
     audit = LocalityAudit()
-    trace_rows = []
     last_estimate = {}
-    for _ in range(budget):
-        s = chain.sample_next()
+
+    def step(s):
         alpha = activate(actors, token, s, audit=audit)
         last_estimate[s] = estimate_network_size(actors[s], token.k - 1)
-        if token.k % trace_stride == 0:
-            x = assemble_vector(actors)
-            err = (float(np.abs(x - oracle_x).max())
-                   if oracle_x is not None else None)
-            res = (ls_objective(x, rows_diag)
-                   if rows_diag is not None else None)
-            trace_rows.append(format_trace_row(token.k, err, res, 1.0 / alpha, s))
+        return 1.0 / alpha
+
+    trace_rows = drive(chain.sample_next, step, lambda: assemble_vector(actors),
+                       budget, trace_stride, oracle_x, rows_diag)
     return SimulationRun(actors=actors, token=token, trace_rows=trace_rows,
                          audit=audit, size_estimates=last_estimate)

@@ -111,6 +111,31 @@ class TestPagerank:
             main(["pagerank"])  # missing input
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("mode", ["unknown-n", "dist"])
+    def test_zero_trace_stride_exit_1(self, fig1_file, tmp_path, mode):
+        rc = main(["pagerank", str(fig1_file), "--mode", mode,
+                   "--trace-stride", "0", "--output-dir", str(tmp_path)])
+        assert rc == 1
+
+    @pytest.mark.parametrize("command", ["pagerank", "oracle"])
+    def test_empty_input_exit_1(self, tmp_path, command):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no edges\n")
+        rc = main([command, str(empty), "--output-dir", str(tmp_path / "out")])
+        assert rc == 1
+
+    def test_dist_locality_failure_writes_nothing(self, fig1_file, tmp_path,
+                                                  monkeypatch):
+        from centrasim.simulator import LocalityAudit
+        monkeypatch.setattr(LocalityAudit, "violations",
+                            lambda self, actors: [(0, 0, [99])])
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["pagerank", str(fig1_file), "--mode", "dist",
+                   "--iterations", "200", "--output-dir", str(out)])
+        assert rc == 3
+        assert list(out.iterdir()) == []
+
 
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, fig1_file, tmp_path):
@@ -127,6 +152,22 @@ class TestConfigPrecedence:
     def test_bad_config_line_exit_1(self, fig1_file, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("iterations 1000\n")
+        rc = main(["pagerank", str(fig1_file), "--config", str(cfg),
+                   "--output-dir", str(tmp_path)])
+        assert rc == 1
+
+    def test_unknown_config_key_exit_1(self, fig1_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dampnig = 0.5\n")
+        rc = main(["pagerank", str(fig1_file), "--config", str(cfg),
+                   "--output-dir", str(tmp_path)])
+        assert rc == 1
+        assert "dampnig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["trace-stride", "snapshot-stride"])
+    def test_zero_stride_in_config_exit_1(self, fig1_file, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0\n")
         rc = main(["pagerank", str(fig1_file), "--config", str(cfg),
                    "--output-dir", str(tmp_path)])
         assert rc == 1
@@ -158,6 +199,13 @@ class TestTemporal:
         lines = (tmp_path / "wbar_colsums.csv").read_text().splitlines()
         sums = [float(line.split(",")[1]) for line in lines[1:]]
         assert np.abs(np.array(sums) - 1).max() < 1e-12
+
+    def test_zero_snapshot_stride_exit_1(self, tmp_path):
+        temporal = tmp_path / "seq.txt"
+        temporal.write_text("0 a b\n0 b a\n1 a b\n1 b a\n")
+        rc = main(["pagerank-temporal", str(temporal), "--snapshot-stride", "0",
+                   "--iterations", "100", "--output-dir", str(tmp_path)])
+        assert rc == 1
 
     def test_joint_window_violation_exit_2(self, tmp_path):
         temporal = tmp_path / "seq.txt"

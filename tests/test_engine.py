@@ -6,7 +6,8 @@ from centrasim.engine import (KaczmarzState, format_trace_row, run,
                               step_unknown_n, TRACE_HEADER)
 from centrasim.graph import parse_edge_list, parse_temporal_edge_list
 from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
-from centrasim.oracles import direct_ls_solve, rows_from_graph
+from centrasim.oracles import (build_regression_rows, direct_ls_solve,
+                               rows_from_graph)
 from centrasim.surfer import (SurferChain, build_transition_matrix,
                               build_transition_matrix_temporal)
 
@@ -186,6 +187,6 @@ class TestTemporal:
         rows = rows_from_graph(fig1, m=0.15, n_known=False)
         a = KaczmarzState.fresh(6, "temporal")
         b = KaczmarzState.fresh(6, "unknown-n")
-        step_temporal(a, 3, pa.wbar_rows(), 0.15)
+        step_temporal(a, 3, build_regression_rows(pa.wbar, 0.15, n_known=False))
         step_unknown_n(b, 3, rows)
         assert np.abs(a.x - b.x).max() < 1e-15

@@ -1,0 +1,110 @@
+"""Output bytes pinned across refactors.
+
+Each run below calls the CLI in-process at a fixed seed and a budget of at
+most 5000 steps; the sha256 of every file it writes must equal the digest
+recorded in golden_outputs.json (recorded at commit 99bc5eb).
+test_deterministic_outputs compares two runs of the same code; this test
+compares against the recorded bytes, so a change that moves any output in
+its last digit fails here. On a mismatch the first differing line is
+reported, located through the recorded per-line digests.
+
+After an intended output change, re-record with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from centrasim.cli import main
+
+from conftest import FIG1_TEXT
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+
+# fig1 with node 5 made dangling (uniform-column repair fills its column)
+DANGLING_TEXT = "".join(line + "\n" for line in FIG1_TEXT.splitlines()
+                        if line and line != "5 4")
+
+# fig1, then spam links into node 5 for one snapshot, then fig1 again;
+# node 6 is dangling in the last snapshot (backlink repair)
+_FIG1_EDGES = [line for line in FIG1_TEXT.splitlines()
+               if line and not line.startswith("#")]
+TEMPORAL_TEXT = "".join(
+    [f"0 {e}\n" for e in _FIG1_EDGES]
+    + [f"1 {e}\n" for e in _FIG1_EDGES + ["1 5", "2 5", "3 5"]]
+    + [f"2 {e}\n" for e in _FIG1_EDGES if not e.startswith("6 ")])
+
+INPUTS = {"fig1.txt": FIG1_TEXT, "dangling.txt": DANGLING_TEXT,
+          "seq.txt": TEMPORAL_TEXT}
+
+RUNS = {
+    "known-n": ["pagerank", "fig1.txt", "--mode", "known-n"],
+    "unknown-n": ["pagerank", "fig1.txt", "--mode", "unknown-n"],
+    "dist": ["pagerank", "fig1.txt", "--mode", "dist"],
+    "uniform-column": ["pagerank", "dangling.txt", "--mode", "known-n",
+                       "--dangling", "uniform-column"],
+    "temporal": ["pagerank-temporal", "seq.txt", "--rho", "0.9",
+                 "--snapshot-stride", "1500"],
+    "oracle": ["oracle", "dangling.txt", "--dangling", "uniform-column"],
+    "centrality": ["centrality", "fig1.txt"],
+}
+BUDGET = ["--iterations", "5000", "--seed", "3", "--trace-stride", "50"]
+
+
+def run_outputs(name, workdir):
+    """{file name: bytes} written by one run."""
+    workdir = Path(workdir)
+    cmd, infile, *flags = RUNS[name]
+    (workdir / infile).write_text(INPUTS[infile])
+    out = workdir / name
+    rc = main([cmd, str(workdir / infile), *flags, *BUDGET,
+               "--output-dir", str(out)])
+    assert rc == 0, f"{name}: exit {rc}"
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _line_digests(data):
+    return [_digest(line)[:12] for line in data.splitlines()]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_recorded_bytes(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text())[name]
+    got = run_outputs(name, tmp_path)
+    assert sorted(got) == sorted(golden)
+    for fname, data in got.items():
+        want = golden[fname]
+        if _digest(data) == want["sha256"]:
+            continue
+        lines = data.splitlines()
+        for i, (a, b) in enumerate(zip(_line_digests(data), want["lines"])):
+            if a != b:
+                pytest.fail(f"{name}/{fname} line {i + 1} differs: "
+                            f"{lines[i].decode()!r}")
+        pytest.fail(f"{name}/{fname}: {len(lines)} lines, "
+                    f"recorded {len(want['lines'])}")
+
+
+def record(workdir):
+    golden = {}
+    for name in sorted(RUNS):
+        golden[name] = {fname: {"sha256": _digest(data),
+                                "lines": _line_digests(data)}
+                        for fname, data in run_outputs(name, workdir).items()}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record(tmp)

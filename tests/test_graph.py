@@ -37,6 +37,10 @@ class TestParseEdgeList:
         g = parse_edge_list("# header\n\na b  # trailing\n")
         assert g.n == 2
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(GraphFormatError, match="no edges"):
+            parse_edge_list("# header only\n\n")
+
     def test_round_trip(self, fig1):
         again = parse_edge_list(serialize_edge_list(fig1))
         def labeled(g):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import build_hyperlink_matrix
@@ -10,6 +11,31 @@ from centrasim.oracles import (build_regression_rows, bfs_all_pairs,
 from conftest import random_digraph
 
 TABLE1_PAGERANK = np.array([.0727, .1122, .1986, .2963, .1131, .2072])
+
+
+def _loop_graph_rows(g, m):
+    """Per-row reference for rows_from_graph."""
+    idx, coef = [], []
+    for i in range(g.n):
+        nbrs = sorted(set(g.in_adj[i]) | (g.uniform_columns - {i}))
+        idx.append([i] + nbrs)
+        coef.append([1.0] + [-(1.0 - m) / (g.n - 1 if j in g.uniform_columns
+                                           else len(g.out_adj[j]))
+                             for j in nbrs])
+    return idx, coef
+
+
+def _loop_matrix_rows(w, m):
+    """Per-row reference for build_regression_rows (W has no diagonal)."""
+    wr = w.tocsr()
+    idx, coef = [], []
+    for i in range(w.shape[0]):
+        cols = wr.indices[wr.indptr[i]:wr.indptr[i + 1]]
+        vals = wr.data[wr.indptr[i]:wr.indptr[i + 1]]
+        order = np.argsort(cols)
+        idx.append([i] + cols[order].tolist())
+        coef.append([1.0] + (-(1.0 - m) * vals[order]).tolist())
+    return idx, coef
 
 
 class TestRegressionRows:
@@ -39,6 +65,32 @@ class TestRegressionRows:
         for i in range(g.n):
             assert np.array_equal(a.idx[i], b.idx[i])
             assert np.abs(a.coef[i] - b.coef[i]).max() < 1e-15
+
+    def test_assembly_matches_per_row_loops(self):
+        # the vectorized assembly must reproduce the per-row loops bit for
+        # bit: outputs are pinned byte for byte
+        rng = np.random.default_rng(43)
+        for trial in range(20):
+            n = int(rng.integers(2, 40))
+            policy = ("backlink", "uniform-column")[trial % 2]
+            g = repair_dangling(random_digraph(
+                rng, n, p=2.0 / n, repaired=policy == "backlink"), policy)
+            w = build_hyperlink_matrix(g)
+            for rows, (idx, coef) in (
+                    (rows_from_graph(g, m=0.15), _loop_graph_rows(g, 0.15)),
+                    (build_regression_rows(w, m=0.15), _loop_matrix_rows(w, 0.15))):
+                for i in range(n):
+                    assert rows.idx[i].tolist() == idx[i]
+                    assert rows.coef[i].tobytes() == np.array(coef[i]).tobytes()
+                ref = sp.csr_matrix(
+                    (np.concatenate(coef),
+                     (np.repeat(np.arange(n), [len(r) for r in idx]),
+                      np.concatenate(idx))), shape=(n, n))
+                h = rows.matrix()
+                assert h is rows.matrix()
+                assert np.array_equal(h.indptr, ref.indptr)
+                assert np.array_equal(h.indices, ref.indices)
+                assert h.data.tobytes() == ref.data.tobytes()
 
     def test_unknown_size_withholds_target(self, fig1):
         rows = rows_from_graph(fig1, m=0.15, n_known=False)

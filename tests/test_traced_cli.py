@@ -1,0 +1,49 @@
+"""perfbench/traced_cli.py still finds and wraps the package's calls.
+
+The tracer replaces module attributes by name, so a rename in the package
+silently drops a per-layer metric. Each case runs the tracer in its own
+process, where its patching cannot leak into other tests, and checks that
+the per-step calls of that command were counted.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import FIG1_TEXT
+
+REPO = Path(__file__).resolve().parents[1]
+TRACED = REPO / "perfbench" / "traced_cli.py"
+
+CASES = {
+    "known-n": (["pagerank", "fig1.txt", "--mode", "known-n"],
+                ["engine.step_known_n", "oracles.ls_objective"]),
+    "dist": (["pagerank", "fig1.txt", "--mode", "dist"],
+             ["simulator.activate", "oracles.ls_objective"]),
+    "temporal": (["pagerank-temporal", "seq.txt", "--snapshot-stride", "500"],
+                 ["engine.step_temporal"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_traced_cli_counts_per_step_calls(case, tmp_path):
+    args, names = CASES[case]
+    (tmp_path / "fig1.txt").write_text(FIG1_TEXT)
+    (tmp_path / "seq.txt").write_text("0 a b\n0 b a\n0 b c\n0 c b\n"
+                                      "1 a c\n1 c a\n1 b c\n1 c b\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), str(trace), *args, "--iterations", "2000",
+         "--output-dir", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(trace.read_text())["calls"]
+    for name in names:
+        assert len(calls.get(name, [])) > 0, f"{name} not counted"
