@@ -275,7 +275,6 @@ def build_parser():
         p.add_argument("--rho", type=float)
         p.add_argument("--iterations", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=["known-n", "unknown-n", "dist"])
         p.add_argument("--dangling", choices=["backlink", "uniform-column"])
         p.add_argument("--snapshot-stride", dest="snapshot_stride", type=int)
         p.add_argument("--joint-window", dest="joint_window", type=int)
@@ -288,6 +287,8 @@ def build_parser():
                      ("oracle", cmd_oracle)):
         p = sub.add_parser(name)
         common(p)
+        if name != "pagerank-temporal":  # one mode only: the temporal engine
+            p.add_argument("--mode", choices=["known-n", "unknown-n", "dist"])
         p.set_defaults(func=fn)
     return parser
 
@@ -307,7 +308,7 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    except (GraphFormatError, RepairError, ValueError, FileNotFoundError) as exc:
+    except (GraphFormatError, RepairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,23 @@ matrix ((1-m)*W_ij) or from out-degrees ((1-m)/outdeg(j)); the two differ
 in the last bit for some degrees, so each keeps its own. One vectorized
 assembly then lays every row out as the diagonal followed by the sorted
 in-neighbor columns and stacks the CSR once, for diagnostics and solves.
+
+Brandes betweenness and all-pairs BFS share one sweep: breadth-first search
+from a block of sources at once, one level at a time, over a flat CSR of
+out_adj. Outputs are pinned byte for byte, so the sweep keeps the float
+operations of a per-source FIFO queue loop in their order:
+
+- within a level, nodes are queued in the order the frontier, expanded in
+  queue order along sorted out_adj rows, first finds them;
+- sigma[w] sums sigma[v] over the shortest-path edges v -> w with v in
+  queue order;
+- delta[v] adds (sigma[v]/sigma[w]) * (1 + delta[w]) with w in descending
+  queue position;
+- each source's own delta is dropped, and bc adds the sources' delta
+  vectors for s = 0..n-1 in order.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +36,9 @@ import scipy.sparse as sp
 from .levelsets import CentralityVector
 
 DENSE_ORACLE_LIMIT = 10_000
+# sources per BFS sweep block: bounds the sweep's memory to a few block x
+# n arrays plus the block's shortest-path DAG
+_SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -179,48 +195,90 @@ def power_method(w, m, tol=1e-12, max_iter=10_000):
     raise RuntimeError(f"power method did not converge in {max_iter} iterations")
 
 
+def _bfs_sweep(g):
+    """Breadth-first search from every source, _SWEEP_BLOCK sources at a time.
+
+    Yields (dist, levels, dag) per block of sources lo, lo+1, ...: dist[r, v]
+    is the hop distance from source lo+r to v, -1 where v is unreachable.
+    levels[k] = (keys, sigma) lists the nodes at distance k as flat keys
+    r*n + v, in the order a per-source FIFO queue pops them, with their
+    shortest-path counts. dag[k] = (pred, at) lists the shortest-path edges
+    from level k to level k+1 in the order that queue visits them (source in
+    queue order, then its sorted out_adj row), as positions into levels[k]
+    and levels[k+1].
+    """
+    n = g.n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, g.out_adj), dtype=np.int64, count=n),
+              out=indptr[1:])
+    indices = np.fromiter((w for a in g.out_adj for w in a), dtype=np.int64,
+                          count=indptr[-1])
+    for lo in range(0, n, _SWEEP_BLOCK):
+        rows = min(_SWEEP_BLOCK, n - lo)
+        dist = np.full(rows * n, -1, dtype=np.int64)
+        first = np.empty(rows * n, dtype=np.int64)
+        rank = np.empty(rows * n, dtype=np.int64)
+        keys = np.arange(rows) * (n + 1) + lo
+        dist[keys] = 0
+        levels, dag = [(keys, np.ones(rows))], []
+        while True:
+            row, v = np.divmod(keys, n)
+            start, count = indptr[v], indptr[v + 1] - indptr[v]
+            pred = np.repeat(np.arange(keys.size), count)
+            offset = np.repeat(start - (np.cumsum(count) - count), count)
+            found = row[pred] * n + indices[np.arange(pred.size) + offset]
+            fresh = dist[found] < 0
+            pred, found = pred[fresh], found[fresh]
+            if not found.size:
+                break
+            # a node joins the queue at the edge that first finds it
+            edge = np.arange(found.size)
+            first[found] = found.size
+            np.minimum.at(first, found, edge)
+            keys = found[first[found] == edge]
+            rank[keys] = np.arange(keys.size)
+            at = rank[found]
+            # bincount adds in edge order, as the queue loop does
+            sigma = np.bincount(at, weights=levels[-1][1][pred],
+                                minlength=keys.size)
+            dist[keys] = len(levels)
+            levels.append((keys, sigma))
+            dag.append((pred, at))
+        yield dist.reshape(rows, n), levels, dag
+
+
 def brandes_betweenness(g):
     """Exact betweenness over ordered pairs, unit edge lengths."""
     n = g.n
     bc = np.zeros(n)
-    for s in range(n):
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, -1)
-        dist[s] = 0
-        preds = [[] for _ in range(n)]
-        order = []
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            order.append(v)
-            for w_ in g.out_adj[v]:
-                if dist[w_] < 0:
-                    dist[w_] = dist[v] + 1
-                    q.append(w_)
-                if dist[w_] == dist[v] + 1:
-                    sigma[w_] += sigma[v]
-                    preds[w_].append(v)
-        delta = np.zeros(n)
-        for w_ in reversed(order):
-            for v in preds[w_]:
-                delta[v] += (sigma[v] / sigma[w_]) * (1.0 + delta[w_])
-            if w_ != s:
-                bc[w_] += delta[w_]
+    for dist, levels, dag in _bfs_sweep(g):
+        dep = np.zeros(dist.size)
+        delta = np.zeros(levels[-1][0].size)
+        for k in reversed(range(len(dag))):
+            keys, sigma = levels[k + 1]
+            dep[keys] = delta
+            # each predecessor sums its successors' shares in descending
+            # queue position, as the reversed queue loop does; tied edges
+            # share a successor, so they feed distinct predecessors
+            pred, at = dag[k]
+            order = np.argsort(-at)
+            pred, at = pred[order], at[order]
+            prev_sigma = levels[k][1]
+            delta = np.bincount(
+                pred, weights=(prev_sigma[pred] / sigma[at]) * (1.0 + delta[at]),
+                minlength=prev_sigma.size)
+        # the sources' own dependencies (level 0) are never counted
+        for row in dep.reshape(dist.shape):
+            bc += row
     return CentralityVector(values=bc, kind="betweenness")
 
 
 def bfs_all_pairs(g):
     """Hop distances d[i, j]; inf where j is unreachable from i."""
     n = g.n
-    d = np.full((n, n), np.inf)
-    for s in range(n):
-        d[s, s] = 0.0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for w_ in g.out_adj[v]:
-                if not np.isfinite(d[s, w_]):
-                    d[s, w_] = d[s, v] + 1
-                    q.append(w_)
+    d = np.empty((n, n))
+    lo = 0
+    for dist, _, _ in _bfs_sweep(g):
+        d[lo:lo + dist.shape[0]] = np.where(dist < 0, np.inf, dist)
+        lo += dist.shape[0]
     return d

@@ -52,6 +52,18 @@ def random_digraph(rng, n, p=0.15, repaired=True):
     return DirectedGraph.from_edges(n, edges)
 
 
+def dense50_graph():
+    """Undirected Erdos-Renyi graph, 50 nodes, connection probability 1/2."""
+    rng = np.random.default_rng(2)
+    edges = set()
+    for i in range(50):
+        for j in range(i + 1, 50):
+            if rng.random() < 0.5:
+                edges.add((i, j))
+                edges.add((j, i))
+    return DirectedGraph.from_edges(50, edges)
+
+
 def random_connected_digraph(rng, n, p=0.15):
     """Repaired digraph whose symmetrized communication graph is connected."""
     for _ in range(200):

@@ -24,7 +24,7 @@ from centrasim.surfer import (SurferChain, build_transition_matrix,
                               empirical_stationary)
 
 import conftest
-from conftest import random_digraph, random_oriented_tree
+from conftest import dense50_graph, random_digraph, random_oriented_tree
 
 M = 0.15
 
@@ -55,14 +55,7 @@ def _chain(g, omega, seed):
 @pytest.fixture(scope="module")
 def dense50():
     """Undirected Erdos-Renyi graph, 50 nodes, connection probability 1/2."""
-    rng = np.random.default_rng(2)
-    edges = set()
-    for i in range(50):
-        for j in range(i + 1, 50):
-            if rng.random() < 0.5:
-                edges.add((i, j))
-                edges.add((j, i))
-    g = DirectedGraph.from_edges(50, edges)
+    g = dense50_graph()
     oracle = direct_ls_solve(rows_from_graph(g, M)).x
     return g, oracle
 

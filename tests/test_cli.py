@@ -124,6 +124,17 @@ class TestPagerank:
         rc = main([command, str(empty), "--output-dir", str(tmp_path / "out")])
         assert rc == 1
 
+    def test_input_is_directory_exit_1(self, tmp_path, capsys):
+        rc = main(["centrality", str(tmp_path), "--output-dir",
+                   str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_output_dir_is_file_exit_1(self, fig1_file, tmp_path, capsys):
+        rc = main(["oracle", str(fig1_file), "--output-dir", str(fig1_file)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_dist_locality_failure_writes_nothing(self, fig1_file, tmp_path,
                                                   monkeypatch):
         from centrasim.simulator import LocalityAudit
@@ -206,6 +217,15 @@ class TestTemporal:
         rc = main(["pagerank-temporal", str(temporal), "--snapshot-stride", "0",
                    "--iterations", "100", "--output-dir", str(tmp_path)])
         assert rc == 1
+
+    def test_mode_flag_rejected(self, tmp_path, capsys):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("0 a b\n0 b a\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["pagerank-temporal", str(seq), "--mode", "known-n",
+                  "--output-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "--mode" in capsys.readouterr().err
 
     def test_joint_window_violation_exit_2(self, tmp_path):
         temporal = tmp_path / "seq.txt"

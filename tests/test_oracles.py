@@ -1,14 +1,18 @@
+from collections import deque
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import build_hyperlink_matrix
-from centrasim.oracles import (build_regression_rows, bfs_all_pairs,
-                               brandes_betweenness, direct_ls_solve,
-                               ls_objective, power_method, rows_from_graph)
+from centrasim.oracles import (_SWEEP_BLOCK, build_regression_rows,
+                               bfs_all_pairs, brandes_betweenness,
+                               direct_ls_solve, ls_objective, power_method,
+                               rows_from_graph)
 
-from conftest import random_digraph
+from conftest import dense50_graph, random_digraph
+from test_acceptance import weblike_graph
 
 TABLE1_PAGERANK = np.array([.0727, .1122, .1986, .2963, .1131, .2072])
 
@@ -192,6 +196,20 @@ class TestBrandes:
             slow = _naive_betweenness(g)
             assert np.abs(fast - slow).max() < 1e-9
 
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(59)
+        for trial in range(10):
+            n = int(rng.integers(2, 120))
+            g = random_digraph(rng, n, p=float(rng.uniform(0.01, 0.1)),
+                               repaired=trial % 2 == 0)
+            ng = nx.DiGraph()
+            ng.add_nodes_from(range(n))
+            ng.add_edges_from(g.edges)
+            ref = nx.betweenness_centrality(ng, normalized=False)
+            got = brandes_betweenness(g).values
+            assert np.abs(got - [ref[i] for i in range(n)]).max() < 1e-9
+
     def test_complete_digraph_zero(self):
         from centrasim.graph import DirectedGraph
         edges = {(i, j) for i in range(5) for j in range(5) if i != j}
@@ -211,6 +229,74 @@ class TestBfsAllPairs:
         from centrasim.graph import symmetrize
         d = bfs_all_pairs(symmetrize(fig1))
         assert np.array_equal(d, d.T)
+
+
+def test_sweep_matches_per_source_loops(fig1):
+    # outputs are pinned byte for byte, so the blocked sweep must repeat
+    # the per-source queue loops' floating-point operations in their order
+    rng = np.random.default_rng(61)
+    graphs = [fig1, dense50_graph(),
+              weblike_graph(np.random.default_rng(101), 400)]
+    for trial in range(20):
+        n = int(rng.integers(2, 150))
+        graphs.append(random_digraph(rng, n, p=float(rng.uniform(0.005, 0.08)),
+                                     repaired=trial % 2 == 0))
+    # some random graphs leave nodes unreachable, and some span two source
+    # blocks, so a level's frontier mixes sources from both sides of a cut
+    assert any(np.isinf(_loop_bfs_all_pairs(g)).any() for g in graphs[3:])
+    assert any(g.n > _SWEEP_BLOCK for g in graphs[3:])
+    for g in graphs:
+        assert np.array_equal(brandes_betweenness(g).values,
+                              _loop_brandes_betweenness(g))
+        assert np.array_equal(bfs_all_pairs(g), _loop_bfs_all_pairs(g))
+
+
+def _loop_brandes_betweenness(g):
+    """Per-source queue loop that brandes_betweenness replaced (returns the
+    raw vector)."""
+    n = g.n
+    bc = np.zeros(n)
+    for s in range(n):
+        sigma = np.zeros(n)
+        sigma[s] = 1.0
+        dist = np.full(n, -1)
+        dist[s] = 0
+        preds = [[] for _ in range(n)]
+        order = []
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            order.append(v)
+            for w_ in g.out_adj[v]:
+                if dist[w_] < 0:
+                    dist[w_] = dist[v] + 1
+                    q.append(w_)
+                if dist[w_] == dist[v] + 1:
+                    sigma[w_] += sigma[v]
+                    preds[w_].append(v)
+        delta = np.zeros(n)
+        for w_ in reversed(order):
+            for v in preds[w_]:
+                delta[v] += (sigma[v] / sigma[w_]) * (1.0 + delta[w_])
+            if w_ != s:
+                bc[w_] += delta[w_]
+    return bc
+
+
+def _loop_bfs_all_pairs(g):
+    """Per-source queue loop that bfs_all_pairs replaced."""
+    n = g.n
+    d = np.full((n, n), np.inf)
+    for s in range(n):
+        d[s, s] = 0.0
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for w_ in g.out_adj[v]:
+                if not np.isfinite(d[s, w_]):
+                    d[s, w_] = d[s, v] + 1
+                    q.append(w_)
+    return d
 
 
 def _naive_betweenness(g):
