@@ -13,7 +13,7 @@ from .levelsets import (CentralityVector, LevelSets, closeness_centrality,
                         degree_centrality, normalize, run_levelset,
                         tree_betweenness)
 from .matrix import (PersistentAverage, apply_google_matrix,
-                     build_hyperlink_matrix, persistent_update)
+                     build_hyperlink_matrix)
 from .oracles import (LsSolution, RegressionRows, bfs_all_pairs,
                       brandes_betweenness, build_regression_rows,
                       direct_ls_solve, ls_objective, power_method,
@@ -27,7 +27,7 @@ __all__ = [
     "validate_oriented_tree", "CentralityVector", "LevelSets",
     "closeness_centrality", "degree_centrality", "normalize", "run_levelset",
     "tree_betweenness", "PersistentAverage", "apply_google_matrix",
-    "build_hyperlink_matrix", "persistent_update", "LsSolution",
+    "build_hyperlink_matrix", "LsSolution",
     "RegressionRows", "bfs_all_pairs", "brandes_betweenness",
     "build_regression_rows", "direct_ls_solve", "ls_objective",
     "power_method", "rows_from_graph", "SurferChain",

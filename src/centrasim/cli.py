@@ -15,12 +15,11 @@ from . import engine, simulator, surfer, tables
 from .errors import AssumptionError, ConsistencyError, GraphFormatError, RepairError
 from .graph import parse_edge_list, parse_temporal_edge_list, repair_dangling, \
     validate_oriented_tree
-from .levelsets import closeness_centrality, degree_centrality, normalize, \
-    run_levelset, tree_betweenness
+from .levelsets import CentralityVector, closeness_centrality, \
+    degree_centrality, normalize, run_levelset, tree_betweenness
 from .matrix import PersistentAverage, build_hyperlink_matrix
 from .oracles import bfs_all_pairs, brandes_betweenness, build_regression_rows, \
     direct_ls_solve, power_method, rows_from_graph, DENSE_ORACLE_LIMIT
-from .levelsets import CentralityVector
 
 DEFAULTS = {
     "damping": 0.15,
@@ -95,19 +94,22 @@ def _normalize_or_raw(cv):
     return normalize(cv)
 
 
-def _write(outdir, name, text):
-    outdir = Path(outdir)
+def _output_dir(cfg):
+    """Create the output directory first: a bad path fails before the work."""
+    outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    path.write_text(text)
-    return path
+    return outdir
+
+
+def _write(outdir, name, text):
+    (outdir / name).write_text(text)
 
 
 def cmd_centrality(args):
     cfg = resolve_config(args)
     g = parse_edge_list(Path(args.input).read_text())
+    outdir = _output_dir(cfg)
     ls = run_levelset(g)
-    outdir = cfg["output_dir"]
 
     deg = normalize(degree_centrality(g))
     _write(outdir, "degree.csv", tables.serialize_centrality(deg, g.labels))
@@ -139,8 +141,8 @@ def cmd_pagerank(args):
     cfg = resolve_config(args)
     g = repair_dangling(parse_edge_list(Path(args.input).read_text()),
                         cfg["dangling"])
+    outdir = _output_dir(cfg)
     m = cfg["damping"]
-    outdir = cfg["output_dir"]
     oracle_x = (direct_ls_solve(build_regression_rows(build_hyperlink_matrix(g), m)).x
                 if g.n <= DENSE_ORACLE_LIMIT else None)
 
@@ -193,8 +195,8 @@ def cmd_pagerank(args):
 def cmd_pagerank_temporal(args):
     cfg = resolve_config(args)
     seq = parse_temporal_edge_list(Path(args.input).read_text())
+    outdir = _output_dir(cfg)
     m = cfg["damping"]
-    outdir = cfg["output_dir"]
     graphs = [repair_dangling(g, cfg["dangling"]) for g in seq.graphs()]
     mats = [build_hyperlink_matrix(g) for g in graphs]
     kernels = surfer.build_transition_matrix_temporal(
@@ -224,8 +226,8 @@ def cmd_oracle(args):
     cfg = resolve_config(args)
     g = repair_dangling(parse_edge_list(Path(args.input).read_text()),
                         cfg["dangling"])
+    outdir = _output_dir(cfg)
     m = cfg["damping"]
-    outdir = cfg["output_dir"]
     w = build_hyperlink_matrix(g)
     pm = power_method(w, m, tol=1e-13)
     ls = direct_ls_solve(build_regression_rows(w, m))
@@ -287,7 +289,7 @@ def build_parser():
                      ("oracle", cmd_oracle)):
         p = sub.add_parser(name)
         common(p)
-        if name != "pagerank-temporal":  # one mode only: the temporal engine
+        if name == "pagerank":  # the only command with more than one engine
             p.add_argument("--mode", choices=["known-n", "unknown-n", "dist"])
         p.set_defaults(func=fn)
     return parser

@@ -154,7 +154,7 @@ def run(rows, chain, mode, budget, trace_stride=100, oracle_x=None,
 
 
 def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
-                 trace_stride=100, oracle_x=None, y=None, rows_diag=None):
+                 trace_stride=100, oracle_x=None, y=None):
     """Temporal loop: advance one snapshot every snapshot_stride steps.
 
     snapshot_mats[t] is the hyperlink matrix of snapshot t; kernels[t] the
@@ -184,5 +184,5 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
         return 1.0 / step_temporal(state, s, rows, y=y)[1]
 
     trace_rows = drive(sample, step, lambda: state.x, budget, trace_stride,
-                       oracle_x, rows_diag)
+                       oracle_x)
     return EngineRun(state=state, trace_rows=trace_rows, steps_used=state.k)

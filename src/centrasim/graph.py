@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import GraphFormatError, NotOrientedTreeError, RepairError
 
 
@@ -60,6 +62,14 @@ class TemporalGraphSequence:
 
     def graphs(self):
         return [g for (_, g) in self.snapshots]
+
+
+def adjacency_csr(adj):
+    """Flat CSR (indptr, indices) of adjacency lists, int64, rows in order."""
+    indptr = np.cumsum([0, *map(len, adj)], dtype=np.int64)
+    indices = np.fromiter((w for a in adj for w in a), dtype=np.int64,
+                          count=indptr[-1])
+    return indptr, indices
 
 
 def _tokenize(text):

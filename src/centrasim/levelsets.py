@@ -6,32 +6,56 @@ Round t+1 computes, for every node i simultaneously,
                 already placed (and i itself),
 
 and the mirrored recursion for the backward sets L_i^t over in-neighbors.
-A node only ever reads the round-t set of its one-hop neighbors, which is
-what makes the scheme message-local; the optional audit log records every
-(reader, sender, round) triple so tests can verify that claim.
+Each direction is one hop-distance matrix, dist[i, v] = the round in which
+v joined node i's sets (0 on the diagonal, -1 if never). A round is one
+boolean sparse product for all nodes, cur = (adj @ cur) & (dist < 0): row
+i ORs only the round-t rows of i's neighbors, which is what makes the
+scheme message-local; the optional audit logs every read so tests can
+verify that claim. The product is boolean because an integer count of
+messages could wrap. L runs its own rounds over in_adj rather than reading
+the transpose of R, because each node builds its L sets from its
+in-neighbors' messages.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NotOrientedTreeError
-from .graph import validate_oriented_tree
+from .graph import adjacency_csr, validate_oriented_tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSets:
-    """Per-node forward (r) and backward (l) hop-distance partitions.
+    """Forward and backward hop distances: fwd[i, v] is the round in which
+    v joined node i's forward sets, bwd[i, v] its backward sets."""
 
-    r[i][t-1] is the frozenset of nodes at forward distance exactly t from
-    node i; rounds stop at t_max, the largest finite distance in the graph.
-    """
+    fwd: np.ndarray
+    bwd: np.ndarray
 
-    n: int
-    r: tuple[tuple[frozenset, ...], ...]
-    l: tuple[tuple[frozenset, ...], ...]
-    t_max: int
+    @cached_property
+    def r(self):
+        """r[i][t-1]: frozenset of the nodes at forward distance exactly t."""
+        return _partitions(self.fwd)
+
+    @cached_property
+    def l(self):
+        """l[i][t-1]: frozenset of the nodes at backward distance exactly t."""
+        return _partitions(self.bwd)
+
+    @property
+    def t_max(self):
+        """Largest finite distance in the graph."""
+        return int(self.fwd.max(initial=0))
+
+
+def _partitions(dist):
+    return tuple(tuple(frozenset(np.flatnonzero(row == t).tolist())
+                       for t in range(1, row.max(initial=0) + 1))
+                 for row in dist)
 
 
 @dataclass
@@ -39,67 +63,43 @@ class MessageAudit:
     """Record of who read whose round-t set during run_levelset."""
 
     reads: list = field(default_factory=list)  # (reader, sender, round, kind)
-    per_round_totals: list = field(default_factory=list)
+    per_round_totals: list = field(default_factory=list)  # both directions
 
-    def record(self, reader, sender, t, kind):
-        self.reads.append((reader, sender, t, kind))
+    def record_round(self, adj, t, kind):
+        """Reader i reads sender j's set for every stored adj[i, j]."""
+        readers = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+        self.reads += [(i, j, t, kind) for i, j in
+                       zip(readers.tolist(), adj.indices.tolist())]
+        if len(self.per_round_totals) < t:
+            self.per_round_totals.append(0)
+        self.per_round_totals[t - 1] += adj.nnz
+
+
+def _distances(adj_lists, audit, kind):
+    """Hop distances by synchronous rounds over one adjacency direction."""
+    n = len(adj_lists)
+    indptr, indices = adjacency_csr(adj_lists)
+    adj = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                        shape=(n, n))
+    dist = np.full((n, n), -1, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    cur = np.eye(n, dtype=bool)
+    t = 0
+    while cur.any():
+        # every node knows its own adjacency, so only rounds past the
+        # first read a neighbor's set
+        if audit is not None and t:
+            audit.record_round(adj, t, kind)
+        cur = (adj @ cur) & (dist < 0)
+        t += 1
+        dist[cur] = t
+    return dist
 
 
 def run_levelset(g, audit=None):
     """Run the synchronous partition rounds until no node learns anything new."""
-    n = g.n
-    r_levels = [[] for _ in range(n)]
-    l_levels = [[] for _ in range(n)]
-    r_seen = [set(g.out_adj[i]) | {i} for i in range(n)]
-    l_seen = [set(g.in_adj[i]) | {i} for i in range(n)]
-    r_cur = [frozenset(g.out_adj[i]) for i in range(n)]
-    l_cur = [frozenset(g.in_adj[i]) for i in range(n)]
-    for i in range(n):
-        if r_cur[i]:
-            r_levels[i].append(r_cur[i])
-        if l_cur[i]:
-            l_levels[i].append(l_cur[i])
-
-    t = 1
-    while any(r_cur) or any(l_cur):
-        r_new = []
-        l_new = []
-        for i in range(n):
-            acc = set()
-            for j in g.out_adj[i]:
-                if audit is not None:
-                    audit.record(i, j, t, "R")
-                acc |= r_cur[j]
-            r_new.append(frozenset(acc - r_seen[i]))
-            acc = set()
-            for j in g.in_adj[i]:
-                if audit is not None:
-                    audit.record(i, j, t, "L")
-                acc |= l_cur[j]
-            l_new.append(frozenset(acc - l_seen[i]))
-        if audit is not None:
-            audit.per_round_totals.append(
-                sum(len(g.out_adj[i]) + len(g.in_adj[i]) for i in range(n))
-            )
-        if not any(r_new) and not any(l_new):
-            break
-        for i in range(n):
-            if r_new[i]:
-                r_levels[i].append(r_new[i])
-                r_seen[i] |= r_new[i]
-            if l_new[i]:
-                l_levels[i].append(l_new[i])
-                l_seen[i] |= l_new[i]
-        r_cur, l_cur = r_new, l_new
-        t += 1
-
-    t_max = max((len(lv) for lv in r_levels), default=0)
-    return LevelSets(
-        n=n,
-        r=tuple(tuple(lv) for lv in r_levels),
-        l=tuple(tuple(lv) for lv in l_levels),
-        t_max=t_max,
-    )
+    return LevelSets(fwd=_distances(g.out_adj, audit, "R"),
+                     bwd=_distances(g.in_adj, audit, "L"))
 
 
 @dataclass(frozen=True)
@@ -132,17 +132,13 @@ def closeness_centrality(ls, g):
     graph is not strongly connected, flagged through the kind field.
     """
     n = g.n
-    strongly = all(
-        sum(len(s) for s in ls.r[i]) == n - 1 for i in range(n)
-    ) if n > 1 else True
+    if n > 1 and ((ls.fwd > 0).sum(axis=1) == n - 1).all():
+        return CentralityVector(values=1.0 / ls.fwd.sum(axis=1),
+                                kind="closeness")
+    # sum count_t / t in increasing t, the order of the per-node sum
     vals = np.zeros(n)
-    if strongly and n > 1:
-        for i in range(n):
-            dist_sum = sum(t * len(s) for t, s in enumerate(ls.r[i], start=1))
-            vals[i] = 1.0 / dist_sum
-        return CentralityVector(values=vals, kind="closeness")
-    for i in range(n):
-        vals[i] = sum(len(s) / t for t, s in enumerate(ls.r[i], start=1))
+    for t in range(1, ls.t_max + 1):
+        vals += (ls.fwd == t).sum(axis=1) / t
     return CentralityVector(values=vals, kind="harmonic-closeness")
 
 
@@ -159,12 +155,8 @@ def tree_betweenness(ls, g):
         raise NotOrientedTreeError(f"not an oriented tree; undirected cycle {cycle}")
     n = g.n
     vals = np.zeros(n)
-    succ = np.array(
-        [1 + sum(len(s) for s in ls.r[j]) for j in range(n)], dtype=float
-    )
-    pred = np.array(
-        [1 + sum(len(s) for s in ls.l[j]) for j in range(n)], dtype=float
-    )
+    succ = 1.0 + (ls.fwd > 0).sum(axis=1)
+    pred = 1.0 + (ls.bwd > 0).sum(axis=1)
     for i in range(n):
         # In an oriented tree an out-neighbor can never also be an
         # in-neighbor (that pair would be a 2-cycle).

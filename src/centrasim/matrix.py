@@ -99,7 +99,3 @@ class PersistentAverage:
     def wbar_rows(self):
         """Row-sliceable view of the current average."""
         return self.wbar.tocsr()
-
-
-def persistent_update(state, w_k):
-    return state.update(w_k)

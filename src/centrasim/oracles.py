@@ -33,7 +33,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from .graph import adjacency_csr
 from .levelsets import CentralityVector
+from .matrix import apply_google_matrix
 
 DENSE_ORACLE_LIMIT = 10_000
 # sources per BFS sweep block: bounds the sweep's memory to a few block x
@@ -176,6 +178,8 @@ def power_method(w, m, tol=1e-12, max_iter=10_000):
     n = w.shape[0]
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not 0.0 <= m < 1.0:
+        raise ValueError(f"damping factor m={m} outside [0,1)")
     x = np.full(n, 1.0 / n)
     for it in range(1, max_iter + 1):
         if m == 0.0:
@@ -185,9 +189,7 @@ def power_method(w, m, tol=1e-12, max_iter=10_000):
                 raise RuntimeError("matrix annihilated the iterate")
             x_new = x_new / s
         else:
-            if not 0.0 < m < 1.0:
-                raise ValueError(f"damping factor m={m} outside [0,1)")
-            x_new = (1.0 - m) * (w @ x) + (m / n) * x.sum()
+            x_new = apply_google_matrix(w, m, x)
         if np.abs(x_new - x).sum() < tol:
             return LsSolution(x=x_new, residual=float(np.abs(x_new - x).sum()),
                               iterations=it)
@@ -208,11 +210,7 @@ def _bfs_sweep(g):
     and levels[k+1].
     """
     n = g.n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, g.out_adj), dtype=np.int64, count=n),
-              out=indptr[1:])
-    indices = np.fromiter((w for a in g.out_adj for w in a), dtype=np.int64,
-                          count=indptr[-1])
+    indptr, indices = adjacency_csr(g.out_adj)
     for lo in range(0, n, _SWEEP_BLOCK):
         rows = min(_SWEEP_BLOCK, n - lo)
         dist = np.full(rows * n, -1, dtype=np.int64)

@@ -135,6 +135,27 @@ class TestPagerank:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["centrality", "oracle"])
+    def test_mode_flag_only_on_pagerank(self, fig1_file, tmp_path, capsys,
+                                        command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(fig1_file), "--mode", "dist",
+                  "--output-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "--mode" in capsys.readouterr().err
+
+    def test_output_dir_checked_before_computing(self, fig1_file, monkeypatch,
+                                                 capsys):
+        import centrasim.cli as cli
+        called = []
+        for name in ("power_method", "brandes_betweenness"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name, **k: called.append(name))
+        rc = main(["oracle", str(fig1_file), "--output-dir", str(fig1_file)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert called == []
+
     def test_dist_locality_failure_writes_nothing(self, fig1_file, tmp_path,
                                                   monkeypatch):
         from centrasim.simulator import LocalityAudit

@@ -1,14 +1,17 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from centrasim.errors import NotOrientedTreeError
-from centrasim.graph import parse_edge_list
+from centrasim.graph import DirectedGraph, parse_edge_list, validate_oriented_tree
 from centrasim.levelsets import (CentralityVector, MessageAudit,
                                  closeness_centrality, degree_centrality,
                                  normalize, run_levelset, tree_betweenness)
 from centrasim.oracles import bfs_all_pairs, brandes_betweenness
 
-from conftest import random_digraph, random_oriented_tree
+from conftest import dense50_graph, random_digraph, random_oriented_tree
+from test_acceptance import weblike_graph
 
 
 class TestRunLevelset:
@@ -65,6 +68,17 @@ class TestRunLevelset:
             for t, s in enumerate(ls.l[i], start=1):
                 for j in s:
                     assert d[j, i] == t
+
+    def test_256_shortest_paths_into_one_node(self):
+        # 256 two-hop paths s -> a_k -> c: an 8-bit count of the messages
+        # carrying c (forward) or s (backward) would wrap to zero
+        mids = range(1, 257)
+        g = DirectedGraph.from_edges(
+            258, {(0, k) for k in mids} | {(k, 257) for k in mids})
+        ls = run_levelset(g)
+        assert ls.fwd[0, 257] == 2 and ls.bwd[257, 0] == 2
+        assert np.array_equal(np.where(ls.fwd < 0, np.inf, ls.fwd),
+                              bfs_all_pairs(g))
 
     def test_message_locality_and_complexity(self, fig1):
         audit = MessageAudit()
@@ -175,3 +189,182 @@ class TestNormalize:
         v = CentralityVector(values=np.array([.25, .25, .5]), kind="x")
         again = normalize(normalize(v))
         assert np.abs(again.values - v.values).max() < 1e-12
+
+
+# The frozenset implementation that run_levelset, closeness_centrality and
+# tree_betweenness replaced, kept verbatim (names prefixed Old/old_) as the
+# reference the distance matrices must reproduce bit for bit.
+
+@dataclass(frozen=True)
+class OldLevelSets:
+    """Per-node forward (r) and backward (l) hop-distance partitions.
+
+    r[i][t-1] is the frozenset of nodes at forward distance exactly t from
+    node i; rounds stop at t_max, the largest finite distance in the graph.
+    """
+
+    n: int
+    r: tuple[tuple[frozenset, ...], ...]
+    l: tuple[tuple[frozenset, ...], ...]
+    t_max: int
+
+
+@dataclass
+class OldMessageAudit:
+    """Record of who read whose round-t set during run_levelset."""
+
+    reads: list = field(default_factory=list)  # (reader, sender, round, kind)
+    per_round_totals: list = field(default_factory=list)
+
+    def record(self, reader, sender, t, kind):
+        self.reads.append((reader, sender, t, kind))
+
+
+def old_run_levelset(g, audit=None):
+    """Run the synchronous partition rounds until no node learns anything new."""
+    n = g.n
+    r_levels = [[] for _ in range(n)]
+    l_levels = [[] for _ in range(n)]
+    r_seen = [set(g.out_adj[i]) | {i} for i in range(n)]
+    l_seen = [set(g.in_adj[i]) | {i} for i in range(n)]
+    r_cur = [frozenset(g.out_adj[i]) for i in range(n)]
+    l_cur = [frozenset(g.in_adj[i]) for i in range(n)]
+    for i in range(n):
+        if r_cur[i]:
+            r_levels[i].append(r_cur[i])
+        if l_cur[i]:
+            l_levels[i].append(l_cur[i])
+
+    t = 1
+    while any(r_cur) or any(l_cur):
+        r_new = []
+        l_new = []
+        for i in range(n):
+            acc = set()
+            for j in g.out_adj[i]:
+                if audit is not None:
+                    audit.record(i, j, t, "R")
+                acc |= r_cur[j]
+            r_new.append(frozenset(acc - r_seen[i]))
+            acc = set()
+            for j in g.in_adj[i]:
+                if audit is not None:
+                    audit.record(i, j, t, "L")
+                acc |= l_cur[j]
+            l_new.append(frozenset(acc - l_seen[i]))
+        if audit is not None:
+            audit.per_round_totals.append(
+                sum(len(g.out_adj[i]) + len(g.in_adj[i]) for i in range(n))
+            )
+        if not any(r_new) and not any(l_new):
+            break
+        for i in range(n):
+            if r_new[i]:
+                r_levels[i].append(r_new[i])
+                r_seen[i] |= r_new[i]
+            if l_new[i]:
+                l_levels[i].append(l_new[i])
+                l_seen[i] |= l_new[i]
+        r_cur, l_cur = r_new, l_new
+        t += 1
+
+    t_max = max((len(lv) for lv in r_levels), default=0)
+    return OldLevelSets(
+        n=n,
+        r=tuple(tuple(lv) for lv in r_levels),
+        l=tuple(tuple(lv) for lv in l_levels),
+        t_max=t_max,
+    )
+
+
+def old_closeness_centrality(ls, g):
+    """Closeness 1/sum(distances) when every node reaches all others.
+
+    Falls back to harmonic closeness (sum of reciprocal distances) when the
+    graph is not strongly connected, flagged through the kind field.
+    """
+    n = g.n
+    strongly = all(
+        sum(len(s) for s in ls.r[i]) == n - 1 for i in range(n)
+    ) if n > 1 else True
+    vals = np.zeros(n)
+    if strongly and n > 1:
+        for i in range(n):
+            dist_sum = sum(t * len(s) for t, s in enumerate(ls.r[i], start=1))
+            vals[i] = 1.0 / dist_sum
+        return CentralityVector(values=vals, kind="closeness")
+    for i in range(n):
+        vals[i] = sum(len(s) / t for t, s in enumerate(ls.r[i], start=1))
+    return CentralityVector(values=vals, kind="harmonic-closeness")
+
+
+def old_tree_betweenness(ls, g):
+    """Distributed betweenness of an oriented tree.
+
+    For an out-neighbor j, the branch size |R_{i->j}| is 1 + sum_t |R_j^t|
+    (the 1 counts j itself); symmetrically for in-branches. Every ordered
+    (source, target) pair through i is counted once because branches of an
+    oriented tree are disjoint.
+    """
+    ok, cycle = validate_oriented_tree(g)
+    if not ok:
+        raise NotOrientedTreeError(f"not an oriented tree; undirected cycle {cycle}")
+    n = g.n
+    vals = np.zeros(n)
+    succ = np.array(
+        [1 + sum(len(s) for s in ls.r[j]) for j in range(n)], dtype=float
+    )
+    pred = np.array(
+        [1 + sum(len(s) for s in ls.l[j]) for j in range(n)], dtype=float
+    )
+    for i in range(n):
+        # In an oriented tree an out-neighbor can never also be an
+        # in-neighbor (that pair would be a 2-cycle).
+        assert not set(g.out_adj[i]) & set(g.in_adj[i])
+        r_total = sum(succ[j] for j in g.out_adj[i])
+        l_total = sum(pred[k] for k in g.in_adj[i])
+        vals[i] = r_total * l_total
+    return CentralityVector(values=vals, kind="betweenness")
+
+
+def _assert_matches_reference(g):
+    """Same level sets, round count, audit and closeness bytes as the
+    frozenset code; returns the closeness kind."""
+    audit, old_audit = MessageAudit(), OldMessageAudit()
+    ls, old = run_levelset(g, audit=audit), old_run_levelset(g, audit=old_audit)
+    assert ls.r == old.r and ls.l == old.l and ls.t_max == old.t_max
+    assert sorted(audit.reads) == sorted(old_audit.reads)
+    assert audit.per_round_totals == old_audit.per_round_totals
+    assert np.array_equal(ls.bwd, ls.fwd.T)
+    mine = closeness_centrality(ls, g)
+    ref = old_closeness_centrality(old, g)
+    assert mine.kind == ref.kind
+    assert np.array_equal(mine.values, ref.values)
+    return mine.kind
+
+
+class TestMatchesFrozensetReference:
+    def test_fixtures(self, fig1):
+        assert _assert_matches_reference(fig1) == "closeness"
+        assert _assert_matches_reference(dense50_graph()) == "closeness"
+        g = weblike_graph(np.random.default_rng(101), 400)
+        _assert_matches_reference(g)
+
+    def test_random_digraphs(self):
+        rng = np.random.default_rng(41)
+        kinds = set()
+        for _ in range(120):
+            n = int(rng.integers(2, 80))
+            g = random_digraph(rng, n, p=float(rng.uniform(0.5, 6.0)) / n,
+                               repaired=bool(rng.integers(2)))
+            kinds.add(_assert_matches_reference(g))
+        assert kinds == {"closeness", "harmonic-closeness"}
+
+    def test_oriented_trees(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            g = random_oriented_tree(rng, int(rng.integers(2, 150)))
+            _assert_matches_reference(g)
+            mine = tree_betweenness(run_levelset(g), g).values
+            ref = old_tree_betweenness(old_run_levelset(g), g).values
+            assert np.array_equal(mine, ref)

@@ -3,7 +3,7 @@ import pytest
 
 from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import (PersistentAverage, apply_google_matrix,
-                              build_hyperlink_matrix, persistent_update)
+                              build_hyperlink_matrix)
 
 from conftest import random_digraph
 
@@ -159,4 +159,4 @@ class TestPersistentAverage:
         w2 = build_hyperlink_matrix(parse_edge_list("a b\nb a"))
         pa = PersistentAverage(rho=1.0).update(w6)
         with pytest.raises(ValueError):
-            persistent_update(pa, w2)
+            pa.update(w2)
