@@ -35,6 +35,7 @@ DEFAULTS = {
     "output_dir": ".",
     "oracle_tol": 1e-8,
 }
+MODES = ("known-n", "unknown-n", "dist")
 
 
 def _load_config_file(path):
@@ -80,6 +81,8 @@ def resolve_config(args):
         raise GraphFormatError(f"rho {cfg['rho']} outside (0,1]")
     if cfg["iterations"] < 0:
         raise GraphFormatError("iterations must be >= 0")
+    if cfg["mode"] not in MODES:
+        raise GraphFormatError(f"unknown mode {cfg['mode']!r}")
     for key in ("trace_stride", "snapshot_stride"):
         if cfg[key] < 1:
             raise GraphFormatError(f"{key} must be >= 1")
@@ -166,15 +169,13 @@ def cmd_pagerank(args):
             size_lines.append(
                 f"{g.labels[i]},{'absent' if est is None else tables.format_value(est)}")
         _write(outdir, "size_estimates.csv", "\n".join(size_lines) + "\n")
-    elif mode in ("known-n", "unknown-n"):
+    else:
         rows = rows_from_graph(g, m, n_known=(mode == "known-n"))
         res = engine.run(rows, chain, mode, cfg["iterations"],
                          trace_stride=cfg["trace_stride"], oracle_x=oracle_x,
                          residual_target=m / g.n)
         x = res.state.x
         trace_rows = res.trace_rows
-    else:
-        raise GraphFormatError(f"unknown mode {mode!r}")
 
     xv = CentralityVector(values=x, kind="pagerank", normalized=False)
     _write(outdir, "vector.csv",
@@ -290,7 +291,7 @@ def build_parser():
         p = sub.add_parser(name)
         common(p)
         if name == "pagerank":  # the only command with more than one engine
-            p.add_argument("--mode", choices=["known-n", "unknown-n", "dist"])
+            p.add_argument("--mode", choices=MODES)
         p.set_defaults(func=fn)
     return parser
 

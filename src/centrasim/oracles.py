@@ -9,7 +9,8 @@ Both row builders compute only their off-diagonal coefficients, from a
 matrix ((1-m)*W_ij) or from out-degrees ((1-m)/outdeg(j)); the two differ
 in the last bit for some degrees, so each keeps its own. One vectorized
 assembly then lays every row out as the diagonal followed by the sorted
-in-neighbor columns and stacks the CSR once, for diagnostics and solves.
+in-neighbor columns; the stacked CSR for diagnostics and solves is built
+on first use.
 
 Brandes betweenness and all-pairs BFS share one sweep: breadth-first search
 from a block of sources at once, one level at a time, over a flat CSR of
@@ -27,7 +28,8 @@ operations of a per-source FIFO queue loop in their order:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -58,11 +60,19 @@ class RegressionRows:
     idx: tuple[np.ndarray, ...]
     coef: tuple[np.ndarray, ...]
     y: float | None
-    csr: sp.csr_matrix = field(repr=False, compare=False)
+
+    @cached_property
+    def csr(self):
+        csr = sp.csr_matrix(
+            (np.concatenate(self.coef), np.concatenate(self.idx),
+             np.cumsum([0, *map(len, self.idx)])), shape=(self.n, self.n))
+        csr.sort_indices()
+        return csr
 
     def matrix(self):
         """Stacked rows as a CSR matrix with sorted columns (diagnostics and
-        direct solves); built once with the rows."""
+        direct solves); built on the first call, then cached. The temporal
+        engine rebuilds rows per snapshot and never asks for it."""
         return self.csr
 
 
@@ -87,12 +97,10 @@ def _assemble(n, m, diag, rows, cols, vals, n_known):
     data = np.empty(indptr[-1])
     data[first] = diag
     data[off] = vals
-    csr = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=True)
-    csr.sort_indices()
     cuts = indptr[1:-1]
     return RegressionRows(n=n, m=m, idx=tuple(np.split(indices, cuts)),
                           coef=tuple(np.split(data, cuts)),
-                          y=m / n if n_known else None, csr=csr)
+                          y=m / n if n_known else None)
 
 
 def build_regression_rows(w, m, n_known=True):
@@ -152,6 +160,14 @@ def direct_ls_solve(rows, y=None):
 
     The Gram matrix H^T H is positive definite for every valid hyperlink
     matrix; Cholesky doubles as the definiteness assertion.
+
+    At most two n x n float64 arrays are alive at once (peak 2 * 8n^2
+    bytes): the dense H is dropped once H^T H and H^T y are formed, and the
+    Gram matrix is factored in place. numpy forms H^T H with a symmetric
+    rank-k update that mirrors the result, so gram.T equals gram bit for
+    bit; gram.T is the F-contiguous view that LAPACK overwrites without a
+    copy, where the C-contiguous gram would be copied even with
+    overwrite_a. The residual comes from the sparse rows.
     """
     if rows.n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_LIMIT}")
@@ -161,13 +177,14 @@ def direct_ls_solve(rows, y=None):
         raise ValueError("rows carry no target; pass y explicitly")
     h = rows.matrix().toarray()
     gram = h.T @ h
+    rhs = h.T @ np.full(rows.n, y)
+    del h
     try:
-        cho = la.cho_factor(gram)
+        cho = la.cho_factor(gram.T, overwrite_a=True)
     except la.LinAlgError as exc:
         raise ValueError("Gram matrix is not positive definite") from exc
-    rhs = h.T @ np.full(rows.n, y)
     x = la.cho_solve(cho, rhs)
-    res = y - h @ x
+    res = y - rows.matrix() @ x
     return LsSolution(x=x, residual=float(res @ res))
 
 

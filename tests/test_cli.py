@@ -196,6 +196,17 @@ class TestConfigPrecedence:
         assert rc == 1
         assert "dampnig" in capsys.readouterr().err
 
+    def test_bad_mode_in_config_exit_1_before_output_dir(self, fig1_file,
+                                                          tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = foo\n")
+        out = tmp_path / "new"
+        rc = main(["pagerank", str(fig1_file), "--config", str(cfg),
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert "foo" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["trace-stride", "snapshot-stride"])
     def test_zero_stride_in_config_exit_1(self, fig1_file, tmp_path, key):
         cfg = tmp_path / "run.cfg"

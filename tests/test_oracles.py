@@ -1,15 +1,17 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import build_hyperlink_matrix
 from centrasim.oracles import (_SWEEP_BLOCK, build_regression_rows,
                                bfs_all_pairs, brandes_betweenness,
-                               direct_ls_solve, ls_objective, power_method,
-                               rows_from_graph)
+                               direct_ls_solve, ls_objective, LsSolution,
+                               power_method, rows_from_graph)
 
 from conftest import dense50_graph, random_digraph
 from test_acceptance import weblike_graph
@@ -40,6 +42,23 @@ def _loop_matrix_rows(w, m):
         idx.append([i] + cols[order].tolist())
         coef.append([1.0] + (-(1.0 - m) * vals[order]).tolist())
     return idx, coef
+
+
+def _reference_ls_solve(rows, y=None):
+    """direct_ls_solve as it was before it dropped H early and factored the
+    Gram matrix in place; it holds H, H^T H and scipy's copy of H^T H."""
+    if y is None:
+        y = rows.y
+    h = rows.matrix().toarray()
+    gram = h.T @ h
+    try:
+        cho = la.cho_factor(gram)
+    except la.LinAlgError as exc:
+        raise ValueError("Gram matrix is not positive definite") from exc
+    rhs = h.T @ np.full(rows.n, y)
+    x = la.cho_solve(cho, rhs)
+    res = y - h @ x
+    return LsSolution(x=x, residual=float(res @ res))
 
 
 class TestRegressionRows:
@@ -135,6 +154,38 @@ class TestDirectLsSolve:
         g = parse_edge_list("a b\nb a")
         sol = direct_ls_solve(rows_from_graph(g, m=0.15))
         assert np.allclose(sol.x, [0.5, 0.5], atol=1e-14)
+
+    def test_bit_identical_to_reference(self, fig1):
+        # the in-place factorization runs the same BLAS/LAPACK calls on the
+        # same values, so x must not move in any bit
+        rng = np.random.default_rng(53)
+        graphs = [fig1, dense50_graph(),
+                  weblike_graph(np.random.default_rng(101), 400)]
+        for trial in range(40):
+            n = int(rng.integers(2, 80))
+            policy = ("backlink", "uniform-column")[trial % 2]
+            graphs.append(repair_dangling(random_digraph(
+                rng, n, p=3.0 / n, repaired=policy == "backlink"), policy))
+        for g in graphs:
+            for rows in (rows_from_graph(g, m=0.15),
+                         build_regression_rows(build_hyperlink_matrix(g), m=0.15)):
+                ref = _reference_ls_solve(rows)
+                sol = direct_ls_solve(rows)
+                assert np.array_equal(sol.x, ref.x)
+                assert sol.residual < 1e-24
+
+    def test_peak_memory_two_dense_arrays(self):
+        # H, H^T H and a copy of H^T H would be 3 * 8n^2 bytes
+        n = 600
+        rows = build_regression_rows(build_hyperlink_matrix(
+            weblike_graph(np.random.default_rng(101), n)), m=0.15)
+        tracemalloc.start()
+        try:
+            direct_ls_solve(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * n * n
 
     def test_size_limit(self, fig1):
         rows = rows_from_graph(fig1, m=0.15)

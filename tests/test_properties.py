@@ -5,14 +5,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from centrasim.graph import DirectedGraph  # noqa: E402
+from centrasim.engine import project  # noqa: E402
+from centrasim.errors import RepairError  # noqa: E402
+from centrasim.graph import DirectedGraph, repair_dangling  # noqa: E402
 from centrasim.levelsets import run_levelset  # noqa: E402
-from centrasim.oracles import bfs_all_pairs  # noqa: E402
+from centrasim.matrix import build_hyperlink_matrix  # noqa: E402
+from centrasim.oracles import (bfs_all_pairs, build_regression_rows,  # noqa: E402
+                               direct_ls_solve, rows_from_graph)
 
 
 @st.composite
-def digraphs(draw, max_n=25):
-    n = draw(st.integers(1, max_n))
+def digraphs(draw, min_n=1, max_n=25):
+    n = draw(st.integers(min_n, max_n))
     node = st.integers(0, n - 1)
     edges = draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1])))
     return DirectedGraph.from_edges(n, edges)
@@ -24,3 +28,27 @@ def test_level_set_distances_equal_bfs(g):
     ls = run_levelset(g)
     assert np.array_equal(np.where(ls.fwd < 0, np.inf, ls.fwd), bfs_all_pairs(g))
     assert np.array_equal(ls.bwd, ls.fwd.T)
+
+
+@settings(derandomize=True, deadline=None)
+@given(digraphs(min_n=2), st.sampled_from(["backlink", "uniform-column"]))
+def test_columns_sum_to_one_after_repair(g, policy):
+    if policy == "backlink" and any(not g.in_adj[d] for d in g.dangling_nodes()):
+        with pytest.raises(RepairError):
+            repair_dangling(g, policy)
+        return
+    w = build_hyperlink_matrix(repair_dangling(g, policy))
+    assert np.abs(np.asarray(w.sum(axis=0)).ravel() - 1.0).max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(digraphs(min_n=2))
+def test_oracle_is_fixed_point_of_every_projection(g):
+    g = repair_dangling(g, "uniform-column")
+    w = build_hyperlink_matrix(g)
+    for rows in (rows_from_graph(g, m=0.15), build_regression_rows(w, m=0.15)):
+        x = direct_ls_solve(rows).x
+        for i in range(g.n):
+            xs = x[rows.idx[i]]
+            moved = project(xs, rows.coef[i], rows.y, 1.0 / g.n)
+            assert np.abs(moved - xs).max() <= 1e-12
