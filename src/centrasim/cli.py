@@ -36,6 +36,7 @@ DEFAULTS = {
     "oracle_tol": 1e-8,
 }
 MODES = ("known-n", "unknown-n", "dist")
+DANGLING = ("backlink", "uniform-column")
 
 
 def _load_config_file(path):
@@ -54,21 +55,15 @@ def _load_config_file(path):
     return cfg
 
 
-def _coerce(key, val):
-    if key in ("damping", "omega", "rho", "oracle_tol"):
-        return float(val)
-    if key in ("iterations", "seed", "snapshot_stride", "joint_window",
-               "trace_stride"):
-        return int(val)
-    return val
-
-
 def resolve_config(args):
     """CLI flags override config-file keys override defaults."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         for key, val in _load_config_file(args.config).items():
-            cfg[key] = _coerce(key, val)
+            if key == "mode" and not hasattr(args, "mode"):
+                raise GraphFormatError(
+                    f"config key 'mode' is not read by {args.command!r}")
+            cfg[key] = type(DEFAULTS[key])(val)
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -83,6 +78,8 @@ def resolve_config(args):
         raise GraphFormatError("iterations must be >= 0")
     if cfg["mode"] not in MODES:
         raise GraphFormatError(f"unknown mode {cfg['mode']!r}")
+    if cfg["dangling"] not in DANGLING:
+        raise GraphFormatError(f"unknown dangling policy {cfg['dangling']!r}")
     for key in ("trace_stride", "snapshot_stride"):
         if cfg[key] < 1:
             raise GraphFormatError(f"{key} must be >= 1")
@@ -278,7 +275,7 @@ def build_parser():
         p.add_argument("--rho", type=float)
         p.add_argument("--iterations", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--dangling", choices=["backlink", "uniform-column"])
+        p.add_argument("--dangling", choices=DANGLING)
         p.add_argument("--snapshot-stride", dest="snapshot_stride", type=int)
         p.add_argument("--joint-window", dest="joint_window", type=int)
         p.add_argument("--trace-stride", dest="trace_stride", type=int)

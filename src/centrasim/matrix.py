@@ -1,7 +1,8 @@
 """Hyperlink matrices, Google-matrix products and persistent averaging.
 
-Column-stochastic matrices are held as scipy CSC; column j carries the
-out-links of node j with weight 1/outdeg(j).
+Column-stochastic matrices are held as scipy CSR, the layout the regression
+rows read: row i lists the in-links of node i in sorted column order, and
+column j carries the out-links of node j with weight 1/outdeg(j).
 """
 from __future__ import annotations
 
@@ -10,43 +11,47 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .graph import adjacency_csr
+
 COLUMN_SUM_TOL = 1e-12
 
 
+def in_links(g):
+    """(rows, cols, outdeg): W[rows, cols] = 1/outdeg[cols], sorted by row,
+    then column; a uniform column counts n-1 out-links."""
+    n = g.n
+    indptr, cols = adjacency_csr(g.in_adj)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    uniform = np.array(sorted(g.uniform_columns), dtype=np.int64)
+    ui = np.repeat(np.arange(n), uniform.size)
+    uj = np.tile(uniform, n)
+    keys = np.unique(np.concatenate((rows * n + cols, (ui * n + uj)[ui != uj])))
+    outdeg = np.array([len(a) for a in g.out_adj], dtype=np.int64)
+    outdeg[uniform] = n - 1
+    return keys // n, keys % n, outdeg
+
+
 def build_hyperlink_matrix(g):
-    """Column-stochastic matrix with w[dst, src] = 1/outdeg(src).
+    """Column-stochastic CSR matrix with w[dst, src] = 1/outdeg(src).
 
     Columns flagged uniform (uniform-column dangling repair) get 1/(n-1)
     on every off-diagonal row.
     """
-    n = g.n
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        if j in g.uniform_columns:
-            w = 1.0 / (n - 1)
-            for i in range(n):
-                if i != j:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(w)
-            continue
-        outs = g.out_adj[j]
-        if not outs:
-            raise ValueError(
-                f"node {g.labels[j]!r} has out-degree zero; repair dangling nodes first"
-            )
-        w = 1.0 / len(outs)
-        for i in outs:
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-    m = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    rows, cols, outdeg = in_links(g)
+    dead = np.flatnonzero(outdeg == 0)
+    if dead.size:
+        raise ValueError(
+            f"node {g.labels[dead[0]]!r} has out-degree zero; repair dangling nodes first"
+        )
+    indptr = np.searchsorted(rows, np.arange(g.n + 1))
+    m = sp.csr_matrix((1.0 / outdeg[cols], cols, indptr), shape=(g.n, g.n))
     assert_column_stochastic(m)
     return m
 
 
 def assert_column_stochastic(w, tol=COLUMN_SUM_TOL):
-    sums = np.asarray(w.sum(axis=0)).ravel()
+    """Every column of the CSR matrix w sums to 1 within tol."""
+    sums = np.bincount(w.indices, weights=w.data, minlength=w.shape[1])
     bad = np.abs(sums - 1.0) > tol
     if bad.any():
         j = int(np.flatnonzero(bad)[0])
@@ -75,7 +80,7 @@ class PersistentAverage:
     """
 
     rho: float
-    wbar: sp.csc_matrix = None
+    wbar: sp.csr_matrix = None
     z: float = 0.0
     k: int = 0
 
@@ -91,11 +96,11 @@ class PersistentAverage:
         self.z = self.rho * self.z + 1.0
         self.k += 1
         if self.wbar is None:
-            self.wbar = w_k.copy().tocsc()
+            self.wbar = sp.csr_matrix(w_k, copy=True)
         else:
-            self.wbar = (self.wbar + (w_k - self.wbar) * (1.0 / self.z)).tocsc()
+            self.wbar = self.wbar + (w_k - self.wbar) * (1.0 / self.z)
         return self
 
     def wbar_rows(self):
-        """Row-sliceable view of the current average."""
-        return self.wbar.tocsr()
+        """The current average, row-sliceable CSR."""
+        return self.wbar

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from .graph import adjacency_csr
 from .levelsets import CentralityVector
-from .matrix import apply_google_matrix
+from .matrix import apply_google_matrix, in_links
 
 DENSE_ORACLE_LIMIT = 10_000
 # sources per BFS sweep block: bounds the sweep's memory to a few block x
@@ -104,18 +104,20 @@ def _assemble(n, m, diag, rows, cols, vals, n_known):
 
 
 def build_regression_rows(w, m, n_known=True):
-    """Rows of I - (1-m)W from a column-stochastic W (scipy sparse)."""
+    """Rows of I - (1-m)W from a column-stochastic W (scipy sparse), read
+    row by row from its CSR form."""
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
-    coo = w.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
-    off = rows != cols
+    w = w.tocsr()
+    if not w.has_sorted_indices:
+        w = w.sorted_indices()
+    rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+    off = rows != w.indices
     # No self-loops upstream, so the diagonal is 1; a diagonal entry of W
     # would fold into it.
     diag = 1.0 - (1.0 - m) * w.diagonal()
-    return _assemble(w.shape[0], m, diag, rows[off], cols[off],
-                     -(1.0 - m) * vals[off], n_known)
+    return _assemble(w.shape[0], m, diag, rows[off], w.indices[off],
+                     -(1.0 - m) * w.data[off], n_known)
 
 
 def rows_from_graph(g, m, n_known=True):
@@ -127,18 +129,9 @@ def rows_from_graph(g, m, n_known=True):
     """
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
-    n = g.n
-    edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
-    uniform = np.array(sorted(g.uniform_columns), dtype=np.int64)
-    ui = np.repeat(np.arange(n), uniform.size)
-    uj = np.tile(uniform, n)
-    keys = np.unique(np.concatenate((edges[:, 1] * n + edges[:, 0],
-                                     (ui * n + uj)[ui != uj])))
-    rows, cols = keys // n, keys % n
-    denom = np.array([len(a) for a in g.out_adj], dtype=np.int64)
-    denom[uniform] = n - 1
-    return _assemble(n, m, np.ones(n), rows, cols, -(1.0 - m) / denom[cols],
-                     n_known)
+    rows, cols, outdeg = in_links(g)
+    return _assemble(g.n, m, np.ones(g.n), rows, cols,
+                     -(1.0 - m) / outdeg[cols], n_known)
 
 
 def ls_objective(x, rows, y=None):

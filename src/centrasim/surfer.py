@@ -6,11 +6,15 @@ what makes the Metropolis-Hastings weights doubly stochastic. The hop
 weight to a neighbor is min{1/(deg_i+1), 1/(deg_j+1)} with the leftover
 mass kept on the diagonal, and an omega-weighted uniform restart is mixed
 on top.
+
+The kernel is stored row-wise in flat tuples, as the sampler reads it: a
+hop is one bisect within the current row's cumulative weights.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,45 +24,39 @@ from .graph import DirectedGraph, is_strongly_connected, symmetrize
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-indexed sparse transition kernel of the pure (omega=0) chain."""
+    """Row-indexed sparse transition kernel of the pure (omega=0) chain.
+
+    Row i is indptr[i]:indptr[i+1]: i's sorted neighbors, then i itself.
+    cum holds each row's running sums of prob, the last forced to 1.0.
+    Python tuples, because bisect on numpy arrays is 2-3x slower.
+    """
 
     n: int
-    nbr: tuple[tuple[int, ...], ...]       # neighbor targets per row
-    prob: tuple[tuple[float, ...], ...]    # matching hop probabilities
-    self_prob: tuple[float, ...]           # diagonal remainder
+    indptr: tuple[int, ...]
+    targets: tuple[int, ...]
+    prob: tuple[float, ...]
+    cum: tuple[float, ...]
 
     def dense(self):
         p = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            p[i, list(self.nbr[i])] = self.prob[i]
-            p[i, i] = self.self_prob[i]
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        p[rows, list(self.targets)] = self.prob
         return p
-
-    def cumulative_rows(self):
-        """Per-row (targets, cumulative weights) with the self-loop last."""
-        rows = []
-        for i in range(self.n):
-            targets = list(self.nbr[i]) + [i]
-            cum = []
-            acc = 0.0
-            for p in list(self.prob[i]) + [self.self_prob[i]]:
-                acc += p
-                cum.append(acc)
-            cum[-1] = 1.0
-            rows.append((targets, cum))
-        return rows
 
 
 def _metropolis_hastings(sym):
-    deg = [len(sym.out_adj[i]) for i in range(sym.n)]
-    nbr, prob, self_prob = [], [], []
-    for i in range(sym.n):
-        ps = [min(1.0 / (deg[i] + 1), 1.0 / (deg[j] + 1)) for j in sym.out_adj[i]]
-        nbr.append(tuple(sym.out_adj[i]))
-        prob.append(tuple(ps))
-        self_prob.append(1.0 - sum(ps))
-    return TransitionMatrix(n=sym.n, nbr=tuple(nbr), prob=tuple(prob),
-                            self_prob=tuple(self_prob))
+    deg = [len(a) for a in sym.out_adj]
+    indptr, targets, prob, cum = [0], [], [], []
+    for i, nbr in enumerate(sym.out_adj):
+        ps = [min(1.0 / (deg[i] + 1), 1.0 / (deg[j] + 1)) for j in nbr]
+        ps.append(1.0 - sum(ps))
+        targets += nbr + (i,)
+        prob += ps
+        cum += accumulate(ps)
+        cum[-1] = 1.0
+        indptr.append(len(targets))
+    return TransitionMatrix(n=sym.n, indptr=tuple(indptr), targets=tuple(targets),
+                            prob=tuple(prob), cum=tuple(cum))
 
 
 def build_transition_matrix(g, omega):
@@ -107,21 +105,19 @@ def check_joint_connectivity(graphs, q):
 class SurferChain:
     """Seeded Markov sampler producing the activation sequence s(k).
 
-    Single-owner, stateful: sample_next advances the walk. The kernel part
-    is immutable and may be shared between replications.
+    Single-owner, stateful: sample_next advances the walk, which starts at
+    node 0. The kernel part is immutable and may be shared between
+    replications.
     """
 
     matrix: TransitionMatrix
     omega: float
     seed: int
-    start: int = 0
-    current: int = field(init=False)
+    current: int = field(init=False, default=0)
     step_count: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self.current = self.start
         self._rng = np.random.default_rng(self.seed)
-        self._rows = self.matrix.cumulative_rows()
 
     @property
     def n(self):
@@ -130,7 +126,6 @@ class SurferChain:
     def set_matrix(self, matrix):
         """Swap kernels mid-walk (temporal snapshots); state carries over."""
         self.matrix = matrix
-        self._rows = matrix.cumulative_rows()
 
     def sample_next(self):
         u = self._rng.random()
@@ -139,8 +134,9 @@ class SurferChain:
             if nxt == self.n:  # guard the open-interval edge
                 nxt = self.n - 1
         else:
-            targets, cum = self._rows[self.current]
-            nxt = targets[bisect_right(cum, self._rng.random())]
+            k, c = self.matrix, self.current
+            nxt = k.targets[bisect_right(k.cum, self._rng.random(),
+                                         k.indptr[c], k.indptr[c + 1])]
         self.current = nxt
         self.step_count += 1
         return nxt

@@ -207,6 +207,46 @@ class TestConfigPrecedence:
         assert "foo" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [FIG1_TEXT, "a b\nb c\nc a\nc d\n"],
+                             ids=["no-dangling", "dangling"])
+    def test_bad_dangling_in_config_exit_1_before_output_dir(
+            self, tmp_path, capsys, text):
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dangling = foo\n")
+        out = tmp_path / "new"
+        rc = main(["centrality", str(graph), "--config", str(cfg),
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert "foo" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["centrality", "pagerank-temporal",
+                                         "oracle"])
+    def test_mode_in_config_rejected_where_unread(self, tmp_path, capsys,
+                                                  command):
+        seq = tmp_path / "in.txt"
+        seq.write_text("0 a b\n0 b a\n" if command == "pagerank-temporal"
+                       else "a b\nb a\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = known-n\n")
+        out = tmp_path / "new"
+        rc = main([command, str(seq), "--config", str(cfg),
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert "mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mode_in_config_read_by_pagerank(self, fig1_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = known-n\niterations = 100\n")
+        out = tmp_path / "out"
+        rc = main(["pagerank", str(fig1_file), "--config", str(cfg),
+                   "--output-dir", str(out)])
+        assert rc == 0
+        assert _read(out, "vector.csv")[2]["mode"] == "known-n"
+
     @pytest.mark.parametrize("key", ["trace-stride", "snapshot-stride"])
     def test_zero_stride_in_config_exit_1(self, fig1_file, tmp_path, key):
         cfg = tmp_path / "run.cfg"

@@ -2,7 +2,8 @@
 
 Each run below calls the CLI in-process at a fixed seed and a budget of at
 most 5000 steps; the sha256 of every file it writes must equal the digest
-recorded in golden_outputs.json (recorded at commit 99bc5eb).
+recorded in golden_outputs.json (recorded at commit 99bc5eb; the
+temporal-uniform-column entry at 4db7647, before the CSR matrices).
 test_deterministic_outputs compares two runs of the same code; this test
 compares against the recorded bytes, so a change that moves any output in
 its last digit fails here. On a mismatch the first differing line is
@@ -50,6 +51,9 @@ RUNS = {
                        "--dangling", "uniform-column"],
     "temporal": ["pagerank-temporal", "seq.txt", "--rho", "0.9",
                  "--snapshot-stride", "1500"],
+    "temporal-uniform-column": ["pagerank-temporal", "seq.txt", "--rho", "0.9",
+                                "--snapshot-stride", "1500",
+                                "--dangling", "uniform-column"],
     "oracle": ["oracle", "dangling.txt", "--dangling", "uniform-column"],
     "centrality": ["centrality", "fig1.txt"],
 }

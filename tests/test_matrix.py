@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import (PersistentAverage, apply_google_matrix,
@@ -52,6 +53,63 @@ class TestHyperlinkMatrix:
             w = build_hyperlink_matrix(g)
             sums = np.asarray(w.sum(axis=0)).ravel()
             assert np.abs(sums - 1).max() <= 1e-12
+
+
+def _reference_hyperlink_matrix(g):
+    """The per-node loop build_hyperlink_matrix used before it read the
+    vectorized in-link structure (it built CSC)."""
+    n = g.n
+    rows, cols, vals = [], [], []
+    for j in range(n):
+        if j in g.uniform_columns:
+            w = 1.0 / (n - 1)
+            for i in range(n):
+                if i != j:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(w)
+            continue
+        outs = g.out_adj[j]
+        if not outs:
+            raise ValueError(
+                f"node {g.labels[j]!r} has out-degree zero; repair dangling nodes first"
+            )
+        w = 1.0 / len(outs)
+        for i in outs:
+            rows.append(i)
+            cols.append(j)
+            vals.append(w)
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestHyperlinkMatrixMatchesLoop:
+    @pytest.mark.parametrize("policy", ["backlink", "uniform-column"])
+    def test_equal_to_per_node_loop(self, policy):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            n = int(rng.integers(2, 80))
+            g = random_digraph(rng, n, p=2.0 / n, repaired=policy == "backlink")
+            g = repair_dangling(g, policy)
+            w = build_hyperlink_matrix(g)
+            assert w.format == "csr" and w.has_canonical_format
+            assert np.array_equal(w.toarray(),
+                                  _reference_hyperlink_matrix(g).toarray())
+
+    def test_same_zero_outdegree_error(self):
+        rng = np.random.default_rng(53)
+        seen = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            g = random_digraph(rng, n, p=1.5 / n, repaired=False)
+            if not g.dangling_nodes():
+                continue
+            seen += 1
+            with pytest.raises(ValueError) as ref:
+                _reference_hyperlink_matrix(g)
+            with pytest.raises(ValueError) as new:
+                build_hyperlink_matrix(g)
+            assert str(new.value) == str(ref.value)
+        assert seen >= 20
 
 
 class TestGoogleMatrix:

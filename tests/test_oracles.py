@@ -7,13 +7,13 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from centrasim.graph import parse_edge_list, repair_dangling
-from centrasim.matrix import build_hyperlink_matrix
-from centrasim.oracles import (_SWEEP_BLOCK, build_regression_rows,
+from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
+from centrasim.oracles import (_SWEEP_BLOCK, _assemble, build_regression_rows,
                                bfs_all_pairs, brandes_betweenness,
                                direct_ls_solve, ls_objective, LsSolution,
                                power_method, rows_from_graph)
 
-from conftest import dense50_graph, random_digraph
+from conftest import FIG1_TEXT, dense50_graph, random_digraph
 from test_acceptance import weblike_graph
 
 TABLE1_PAGERANK = np.array([.0727, .1122, .1986, .2963, .1131, .2072])
@@ -42,6 +42,48 @@ def _loop_matrix_rows(w, m):
         idx.append([i] + cols[order].tolist())
         coef.append([1.0] + (-(1.0 - m) * vals[order]).tolist())
     return idx, coef
+
+
+def _reference_matrix_rows(w, m, n_known=True):
+    """build_regression_rows as it was before it read W's CSR arrays: it
+    went through COO and lexsorted the entries back into row order."""
+    coo = w.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
+    off = rows != cols
+    diag = 1.0 - (1.0 - m) * w.diagonal()
+    return _assemble(w.shape[0], m, diag, rows[off], cols[off],
+                     -(1.0 - m) * vals[off], n_known)
+
+
+def _unsorted_rows(w):
+    """The same matrix as a CSR whose column indices run backwards per row."""
+    w = w.tocsr()
+    order = np.concatenate([np.arange(w.indptr[i + 1] - 1, w.indptr[i] - 1, -1)
+                            for i in range(w.shape[0])]).astype(np.int64)
+    out = sp.csr_matrix((w.data[order], w.indices[order], w.indptr),
+                        shape=w.shape)
+    assert np.diff(w.indptr).max() < 2 or not out.has_sorted_indices
+    return out
+
+
+def _row_build_cases():
+    rng = np.random.default_rng(67)
+    graphs = [parse_edge_list(FIG1_TEXT), dense50_graph(),
+              weblike_graph(np.random.default_rng(101), 400)]
+    for trial in range(40):
+        n = int(rng.integers(2, 60))
+        policy = ("backlink", "uniform-column")[trial % 2]
+        graphs.append(repair_dangling(random_digraph(
+            rng, n, p=2.0 / n, repaired=policy == "backlink"), policy))
+    for g in graphs:
+        yield build_hyperlink_matrix(g)
+    # persistent averages: entries no longer 1/outdeg, diagonals nonzero
+    pa = PersistentAverage(rho=0.9)
+    for _ in range(30):
+        g = random_digraph(rng, 12, p=0.25)
+        pa.update(build_hyperlink_matrix(g))
+        yield pa.wbar_rows()
 
 
 def _reference_ls_solve(rows, y=None):
@@ -114,6 +156,20 @@ class TestRegressionRows:
                 assert np.array_equal(h.indptr, ref.indptr)
                 assert np.array_equal(h.indices, ref.indices)
                 assert h.data.tobytes() == ref.data.tobytes()
+
+    def test_matrix_rows_equal_coo_lexsort_build(self):
+        # outputs are pinned byte for byte: reading W's CSR arrays must give
+        # the rows the COO/lexsort build gave, from CSR and CSC input alike
+        for w in _row_build_cases():
+            for n_known in (True, False):
+                ref = _reference_matrix_rows(w, 0.15, n_known)
+                for inp in (w.tocsr(), w.tocsc(), _unsorted_rows(w)):
+                    got = build_regression_rows(inp, 0.15, n_known)
+                    assert got.n == ref.n and got.y == ref.y
+                    for a, b in zip(got.idx, ref.idx):
+                        assert np.array_equal(a, b)
+                    for a, b in zip(got.coef, ref.coef):
+                        assert a.tobytes() == b.tobytes()
 
     def test_unknown_size_withholds_target(self, fig1):
         rows = rows_from_graph(fig1, m=0.15, n_known=False)

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from centrasim.engine import project  # noqa: E402
 from centrasim.errors import RepairError  # noqa: E402
-from centrasim.graph import DirectedGraph, repair_dangling  # noqa: E402
+from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
+                             parse_edge_list, parse_temporal_edge_list,
+                             repair_dangling, serialize_edge_list,
+                             serialize_temporal_edge_list)
 from centrasim.levelsets import run_levelset  # noqa: E402
 from centrasim.matrix import build_hyperlink_matrix  # noqa: E402
 from centrasim.oracles import (bfs_all_pairs, build_regression_rows,  # noqa: E402
@@ -20,6 +23,49 @@ def digraphs(draw, min_n=1, max_n=25):
     node = st.integers(0, n - 1)
     edges = draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1])))
     return DirectedGraph.from_edges(n, edges)
+
+
+# edge-list labels: printable ASCII without blanks and the comment sign
+_labels = st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                                blacklist_characters="#"), min_size=1, max_size=3)
+
+
+def _labeled_edges(g):
+    return {(g.labels[u], g.labels[v]) for (u, v) in g.edges}
+
+
+@st.composite
+def labeled_snapshots(draw, max_snapshots=1):
+    """1..max_snapshots edge sets over one labeled node set, none empty."""
+    n = draw(st.integers(2, 12))
+    labels = draw(st.lists(_labels, min_size=n, max_size=n, unique=True))
+    snaps = draw(st.lists(digraphs(min_n=n, max_n=n).filter(lambda g: g.edges),
+                          min_size=1, max_size=max_snapshots))
+    return [DirectedGraph.from_edges(n, g.edges, labels=labels) for g in snaps]
+
+
+@settings(derandomize=True, deadline=None)
+@given(labeled_snapshots())
+def test_edge_list_parse_serialize_round_trip(snaps):
+    g = snaps[0]
+    back = parse_edge_list(serialize_edge_list(g))
+    assert _labeled_edges(back) == _labeled_edges(g)
+    assert set(back.labels) == {g.labels[u] for e in g.edges for u in e}
+
+
+@settings(derandomize=True, deadline=None)
+@given(labeled_snapshots(max_snapshots=4), st.data())
+def test_temporal_parse_serialize_round_trip(snaps, data):
+    gaps = data.draw(st.lists(st.integers(1, 5), min_size=len(snaps),
+                              max_size=len(snaps)))
+    times = np.cumsum(gaps).tolist()
+    seq = TemporalGraphSequence(n=snaps[0].n, snapshots=tuple(zip(times, snaps)))
+    back = parse_temporal_edge_list(serialize_temporal_edge_list(seq))
+    assert [t for t, _ in back.snapshots] == times
+    for (_, a), (_, b) in zip(back.snapshots, seq.snapshots):
+        assert _labeled_edges(a) == _labeled_edges(b)
+    assert set(back.snapshots[0][1].labels) == \
+        {g.labels[u] for g in snaps for e in g.edges for u in e}
 
 
 @settings(derandomize=True, deadline=None)

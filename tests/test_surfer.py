@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,75 @@ from centrasim.surfer import (SurferChain, build_transition_matrix,
                               build_transition_matrix_temporal,
                               check_joint_connectivity, empirical_stationary)
 
-from conftest import random_connected_digraph
+from conftest import FIG1_TEXT, dense50_graph, random_connected_digraph
+from test_acceptance import weblike_graph
+
+
+class _TupleRowKernel:
+    """The kernel as tuples of per-row tuples, with cumulative_rows, as it
+    was before the flat layout; the reference the flat kernel must equal."""
+
+    def __init__(self, n, nbr, prob, self_prob):
+        self.n, self.nbr, self.prob, self.self_prob = n, nbr, prob, self_prob
+
+    def cumulative_rows(self):
+        """Per-row (targets, cumulative weights) with the self-loop last."""
+        rows = []
+        for i in range(self.n):
+            targets = list(self.nbr[i]) + [i]
+            cum = []
+            acc = 0.0
+            for p in list(self.prob[i]) + [self.self_prob[i]]:
+                acc += p
+                cum.append(acc)
+            cum[-1] = 1.0
+            rows.append((targets, cum))
+        return rows
+
+
+def _reference_metropolis_hastings(sym):
+    deg = [len(sym.out_adj[i]) for i in range(sym.n)]
+    nbr, prob, self_prob = [], [], []
+    for i in range(sym.n):
+        ps = [min(1.0 / (deg[i] + 1), 1.0 / (deg[j] + 1)) for j in sym.out_adj[i]]
+        nbr.append(tuple(sym.out_adj[i]))
+        prob.append(tuple(ps))
+        self_prob.append(1.0 - sum(ps))
+    return _TupleRowKernel(n=sym.n, nbr=tuple(nbr), prob=tuple(prob),
+                           self_prob=tuple(self_prob))
+
+
+def _reference_stream(kernel, omega, seed, steps):
+    """SurferChain.sample_next as it was, over cumulative_rows."""
+    rng = np.random.default_rng(seed)
+    rows = kernel.cumulative_rows()
+    current, out = 0, []
+    for _ in range(steps):
+        u = rng.random()
+        if omega > 0.0 and u < omega:
+            nxt = int(rng.random() * kernel.n)
+            if nxt == kernel.n:
+                nxt = kernel.n - 1
+        else:
+            targets, cum = rows[current]
+            nxt = targets[bisect_right(cum, rng.random())]
+        current = nxt
+        out.append(nxt)
+    return out
+
+
+def _row(tm, i):
+    lo, hi = tm.indptr[i], tm.indptr[i + 1]
+    return tm.targets[lo:hi], tm.prob[lo:hi], tm.cum[lo:hi]
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(61)
+    yield "fig1", parse_edge_list(FIG1_TEXT)
+    yield "dense50", dense50_graph()
+    yield "web400", weblike_graph(np.random.default_rng(101), 400)
+    for t in range(40):
+        yield f"random{t}", random_connected_digraph(rng, int(rng.integers(2, 60)))
 
 
 class TestTransitionMatrix:
@@ -51,13 +121,35 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             build_transition_matrix(fig1, omega=1.1)
 
-    def test_cumulative_rows_end_at_one(self, fig1):
+    def test_cum_rows_end_at_one(self, fig1):
         tm = build_transition_matrix(fig1, omega=0.0)
-        for targets, cum in tm.cumulative_rows():
+        assert len(tm.targets) == len(tm.prob) == len(tm.cum) == tm.indptr[-1]
+        for i in range(tm.n):
+            targets, _, cum = _row(tm, i)
             assert cum[-1] == 1.0
             assert all(b >= a for a, b in zip(cum, cum[1:]))
-            assert targets[-1] == targets[-1]  # self-loop slot present
-            assert len(targets) == len(cum)
+            assert targets[-1] == i  # self-loop slot last
+
+    def test_flat_layout_equals_tuple_rows(self):
+        # outputs are pinned byte for byte: the flat kernel must hold the
+        # very floats of the per-row tuples and their cumulative rows, and
+        # the chain must draw the very same samples
+        for name, g in _kernel_cases():
+            tm = build_transition_matrix(g, omega=0.0)
+            ref = _reference_metropolis_hastings(symmetrize(g))
+            assert tm.n == ref.n
+            assert len(tm.indptr) == tm.n + 1
+            for i, (targets, cum) in enumerate(ref.cumulative_rows()):
+                flat_targets, prob, flat_cum = _row(tm, i)
+                assert flat_targets == tuple(targets), name
+                assert prob[:-1] == ref.prob[i], name
+                assert prob[-1] == ref.self_prob[i], name
+                assert flat_cum == tuple(cum), name
+            for omega in (0.0, 0.15, 1.0):
+                chain = SurferChain(matrix=tm, omega=omega, seed=7)
+                got = [chain.sample_next() for _ in range(10_000)]
+                assert got == _reference_stream(ref, omega, 7, 10_000), \
+                    (name, omega)
 
 
 def _snapshots(text):
@@ -115,7 +207,7 @@ class TestSurferChain:
     def test_moves_only_along_kernel(self, fig1):
         tm = build_transition_matrix(fig1, omega=0.0)
         chain = SurferChain(matrix=tm, omega=0.0, seed=3)
-        allowed = {i: set(tm.nbr[i]) | {i} for i in range(tm.n)}
+        allowed = {i: set(_row(tm, i)[0]) for i in range(tm.n)}
         cur = chain.current
         for _ in range(2000):
             nxt = chain.sample_next()
@@ -147,4 +239,4 @@ class TestSurferChain:
         chain.set_matrix(mb)
         assert chain.current == here
         nxt = chain.sample_next()
-        assert nxt in set(mb.nbr[here]) | {here}
+        assert nxt in set(_row(mb, here)[0])
