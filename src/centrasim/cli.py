@@ -35,11 +35,19 @@ DEFAULTS = {
     "output_dir": ".",
     "oracle_tol": 1e-8,
 }
-MODES = ("known-n", "unknown-n", "dist")
-DANGLING = ("backlink", "uniform-column")
+# The keys each command reads; all but oracle_tol are also its flags.
+KEYS = {
+    "centrality": ("damping", "dangling", "output_dir"),
+    "pagerank": ("damping", "omega", "iterations", "seed", "mode", "dangling",
+                 "trace_stride", "output_dir"),
+    "pagerank-temporal": ("damping", "omega", "rho", "iterations", "seed",
+                          "dangling", "snapshot_stride", "joint_window",
+                          "trace_stride", "output_dir"),
+    "oracle": ("damping", "dangling", "oracle_tol", "output_dir"),
+}
 
 
-def _load_config_file(path):
+def _load_config_file(path, command):
     cfg = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -49,22 +57,20 @@ def _load_config_file(path):
         if not sep:
             raise GraphFormatError(f"config line {lineno}: expected key=value")
         key = key.strip().replace("-", "_")
-        if key not in DEFAULTS:
-            raise GraphFormatError(f"config line {lineno}: unknown key {key!r}")
+        if key not in KEYS[command]:
+            raise GraphFormatError(
+                f"config line {lineno}: {command!r} reads no key {key!r}")
         cfg[key] = val.strip()
     return cfg
 
 
 def resolve_config(args):
-    """CLI flags override config-file keys override defaults."""
+    """The command's keys: flags override config-file keys override defaults."""
     cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
-            if key == "mode" and not hasattr(args, "mode"):
-                raise GraphFormatError(
-                    f"config key 'mode' is not read by {args.command!r}")
+    if args.config:
+        for key, val in _load_config_file(args.config, args.command).items():
             cfg[key] = type(DEFAULTS[key])(val)
-    for key in cfg:
+    for key in KEYS[args.command]:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
@@ -76,14 +82,14 @@ def resolve_config(args):
         raise GraphFormatError(f"rho {cfg['rho']} outside (0,1]")
     if cfg["iterations"] < 0:
         raise GraphFormatError("iterations must be >= 0")
-    if cfg["mode"] not in MODES:
+    if cfg["mode"] not in ("known-n", "unknown-n", "dist"):
         raise GraphFormatError(f"unknown mode {cfg['mode']!r}")
-    if cfg["dangling"] not in DANGLING:
+    if cfg["dangling"] not in ("backlink", "uniform-column"):
         raise GraphFormatError(f"unknown dangling policy {cfg['dangling']!r}")
     for key in ("trace_stride", "snapshot_stride"):
         if cfg[key] < 1:
             raise GraphFormatError(f"{key} must be >= 1")
-    return cfg
+    return {key: cfg[key] for key in KEYS[args.command]}
 
 
 def _normalize_or_raw(cv):
@@ -159,10 +165,9 @@ def cmd_pagerank(args):
             raise ConsistencyError("locality audit found non-neighbor accesses")
         x = simulator.assemble_vector(sim.actors)
         trace_rows = sim.trace_rows
-        sizes = {i: sim.size_estimates.get(i) for i in range(g.n)}
         size_lines = ["# kind=size_estimate"]
         for i in range(g.n):
-            est = sizes[i]
+            est = sim.size_estimates.get(i)
             size_lines.append(
                 f"{g.labels[i]},{'absent' if est is None else tables.format_value(est)}")
         _write(outdir, "size_estimates.csv", "\n".join(size_lines) + "\n")
@@ -193,9 +198,15 @@ def cmd_pagerank(args):
 def cmd_pagerank_temporal(args):
     cfg = resolve_config(args)
     seq = parse_temporal_edge_list(Path(args.input).read_text())
+    graphs = []
+    for t, g in seq.snapshots:
+        try:
+            graphs.append(repair_dangling(g, cfg["dangling"]))
+        except RepairError as exc:
+            raise RepairError(f"snapshot at time {t}: {exc} "
+                              "(--dangling uniform-column repairs it)") from exc
     outdir = _output_dir(cfg)
     m = cfg["damping"]
-    graphs = [repair_dangling(g, cfg["dangling"]) for g in seq.graphs()]
     mats = [build_hyperlink_matrix(g) for g in graphs]
     kernels = surfer.build_transition_matrix_temporal(
         graphs, cfg["omega"], joint_window=cfg["joint_window"])
@@ -227,7 +238,10 @@ def cmd_oracle(args):
     outdir = _output_dir(cfg)
     m = cfg["damping"]
     w = build_hyperlink_matrix(g)
-    pm = power_method(w, m, tol=1e-13)
+    try:
+        pm = power_method(w, m, tol=1e-13)
+    except RuntimeError as exc:
+        raise ConsistencyError(f"no cross-check: {exc}") from exc
     ls = direct_ls_solve(build_regression_rows(w, m))
     gap = float(np.abs(ls.x - pm.x).max())
     if gap > cfg["oracle_tol"]:
@@ -244,16 +258,14 @@ def cmd_oracle(args):
     _write(outdir, "betweenness.csv",
            tables.serialize_centrality(bet, g.labels, extras={"method": "brandes"}))
     d = bfs_all_pairs(g)
-    finite = np.where(np.isfinite(d), d, 0.0)
     reach_all = np.isfinite(d).all()
-    vals = np.zeros(g.n)
-    for i in range(g.n):
-        if reach_all and g.n > 1:
-            vals[i] = 1.0 / finite[i].sum()
-        else:
-            with np.errstate(divide="ignore"):
-                recip = np.where(d[i] > 0, 1.0 / d[i], 0.0)
-            vals[i] = recip[np.isfinite(recip)].sum()
+    if reach_all:
+        vals = 1.0 / d.sum(axis=1)
+    else:
+        with np.errstate(divide="ignore"):
+            recip = 1.0 / d
+        np.fill_diagonal(recip, 0.0)
+        vals = recip.sum(axis=1)
     kind = "closeness" if reach_all else "harmonic-closeness"
     clo = normalize(CentralityVector(values=vals, kind=kind))
     _write(outdir, "closeness.csv",
@@ -267,28 +279,16 @@ def build_parser():
         description="Distributed centrality and incremental PageRank simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("input", help="edge-list input file")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--damping", type=float)
-        p.add_argument("--omega", type=float)
-        p.add_argument("--rho", type=float)
-        p.add_argument("--iterations", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--dangling", choices=DANGLING)
-        p.add_argument("--snapshot-stride", dest="snapshot_stride", type=int)
-        p.add_argument("--joint-window", dest="joint_window", type=int)
-        p.add_argument("--trace-stride", dest="trace_stride", type=int)
-        p.add_argument("--output-dir", dest="output_dir")
-
     for name, fn in (("centrality", cmd_centrality),
                      ("pagerank", cmd_pagerank),
                      ("pagerank-temporal", cmd_pagerank_temporal),
                      ("oracle", cmd_oracle)):
         p = sub.add_parser(name)
-        common(p)
-        if name == "pagerank":  # the only command with more than one engine
-            p.add_argument("--mode", choices=MODES)
+        p.add_argument("input", help="edge-list input file")
+        p.add_argument("--config", help="flat key=value config file")
+        for key in KEYS[name]:
+            if key != "oracle_tol":
+                p.add_argument("--" + key.replace("_", "-"), type=type(DEFAULTS[key]))
         p.set_defaults(func=fn)
     return parser
 

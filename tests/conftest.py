@@ -31,6 +31,19 @@ FIG1_TEXT = """\
 6 5
 """
 
+# fig1 with node 5 made dangling (uniform-column repair fills its column)
+DANGLING_TEXT = "".join(line + "\n" for line in FIG1_TEXT.splitlines()
+                        if line and line != "5 4")
+
+# fig1, then spam links into node 5 for one snapshot, then fig1 again;
+# node 6 is dangling in the last snapshot (backlink repair)
+_FIG1_EDGES = [line for line in FIG1_TEXT.splitlines()
+               if line and not line.startswith("#")]
+TEMPORAL_TEXT = "".join(
+    [f"0 {e}\n" for e in _FIG1_EDGES]
+    + [f"1 {e}\n" for e in _FIG1_EDGES + ["1 5", "2 5", "3 5"]]
+    + [f"2 {e}\n" for e in _FIG1_EDGES if not e.startswith("6 ")])
+
 
 @pytest.fixture(scope="session")
 def fig1():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from centrasim.cli import main
+from centrasim.cli import DEFAULTS, KEYS, main
 from centrasim.tables import parse_centrality
 
-from conftest import FIG1_TEXT
+from conftest import DANGLING_TEXT, FIG1_TEXT, TEMPORAL_TEXT
 
 TABLE1 = {
     "degree": [.1667, .1667, .2500, .1667, .0833, .1667],
@@ -23,6 +23,22 @@ def fig1_file(tmp_path):
 def _read(tmp_path, name):
     cv, labels, header = parse_centrality((tmp_path / name).read_text())
     return labels, cv.values, header
+
+
+def _two_cycle(tmp_path, command):
+    path = tmp_path / "in.txt"
+    path.write_text("0 a b\n0 b a\n" if command == "pagerank-temporal"
+                    else "a b\nb a\n")
+    return path
+
+
+def _unread(flags):
+    """(command, key) pairs outside KEYS; with flags, also oracle_tol, which
+    is config-only. A mode pair keeps the id it had when only --mode was
+    checked: the command name."""
+    return [pytest.param(cmd, key, id=cmd if key == "mode" else f"{cmd}-{key}")
+            for cmd in KEYS for key in DEFAULTS
+            if key not in KEYS[cmd] or (flags and key == "oracle_tol")]
 
 
 class TestCentrality:
@@ -135,14 +151,29 @@ class TestPagerank:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("command", ["centrality", "oracle"])
-    def test_mode_flag_only_on_pagerank(self, fig1_file, tmp_path, capsys,
-                                        command):
+    @pytest.mark.parametrize("command,key", _unread(flags=True))
+    def test_mode_flag_only_on_pagerank(self, tmp_path, capsys, command, key):
+        """Every flag a command does not read is a usage error, --mode
+        outside pagerank among them."""
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "new"
         with pytest.raises(SystemExit) as exc:
-            main([command, str(fig1_file), "--mode", "dist",
-                  "--output-dir", str(tmp_path)])
+            main([command, str(_two_cycle(tmp_path, command)),
+                  flag, str(DEFAULTS[key]), "--output-dir", str(out)])
         assert exc.value.code == 1
-        assert "--mode" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("pagerank", "--mode"), *[(cmd, "--dangling") for cmd in KEYS]])
+    def test_bad_choice_flag_exit_1_before_output_dir(self, tmp_path, capsys,
+                                                      command, flag):
+        out = tmp_path / "new"
+        rc = main([command, str(_two_cycle(tmp_path, command)), flag, "foo",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        assert "foo" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_dir_checked_before_computing(self, fig1_file, monkeypatch,
                                                  capsys):
@@ -222,20 +253,19 @@ class TestConfigPrecedence:
         assert "foo" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["centrality", "pagerank-temporal",
-                                         "oracle"])
+    @pytest.mark.parametrize("command,key", _unread(flags=False))
     def test_mode_in_config_rejected_where_unread(self, tmp_path, capsys,
-                                                  command):
-        seq = tmp_path / "in.txt"
-        seq.write_text("0 a b\n0 b a\n" if command == "pagerank-temporal"
-                       else "a b\nb a\n")
+                                                  command, key):
+        """Every config key a command does not read is an error, mode outside
+        pagerank among them."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mode = known-n\n")
+        cfg.write_text(f"{key} = {DEFAULTS[key]}\n")
         out = tmp_path / "new"
-        rc = main([command, str(seq), "--config", str(cfg),
-                   "--output-dir", str(out)])
+        rc = main([command, str(_two_cycle(tmp_path, command)),
+                   "--config", str(cfg), "--output-dir", str(out)])
         assert rc == 1
-        assert "mode" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(command) in err
         assert not out.exists()
 
     def test_mode_in_config_read_by_pagerank(self, fig1_file, tmp_path):
@@ -248,12 +278,14 @@ class TestConfigPrecedence:
         assert _read(out, "vector.csv")[2]["mode"] == "known-n"
 
     @pytest.mark.parametrize("key", ["trace-stride", "snapshot-stride"])
-    def test_zero_stride_in_config_exit_1(self, fig1_file, tmp_path, key):
+    def test_zero_stride_in_config_exit_1(self, tmp_path, capsys, key):
+        # pagerank-temporal is the one command that reads both strides
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 0\n")
-        rc = main(["pagerank", str(fig1_file), "--config", str(cfg),
-                   "--output-dir", str(tmp_path)])
+        rc = main(["pagerank-temporal", str(_two_cycle(tmp_path, "pagerank-temporal")),
+                   "--config", str(cfg), "--output-dir", str(tmp_path)])
         assert rc == 1
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestTemporal:
@@ -290,14 +322,23 @@ class TestTemporal:
                    "--iterations", "100", "--output-dir", str(tmp_path)])
         assert rc == 1
 
-    def test_mode_flag_rejected(self, tmp_path, capsys):
+    def test_node_missing_from_early_snapshot(self, tmp_path, capsys):
+        """c has no edges at time 0, so its column there cannot be backlinked:
+        exit 1 naming the snapshot; the uniform-column policy runs it."""
         seq = tmp_path / "seq.txt"
-        seq.write_text("0 a b\n0 b a\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["pagerank-temporal", str(seq), "--mode", "known-n",
-                  "--output-dir", str(tmp_path)])
-        assert exc.value.code == 1
-        assert "--mode" in capsys.readouterr().err
+        seq.write_text("0 a b\n0 b a\n1 a b\n1 b a\n1 b c\n1 c b\n")
+        out = tmp_path / "new"
+        rc = main(["pagerank-temporal", str(seq), "--iterations", "100",
+                   "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "snapshot at time 0" in err and "'c'" in err
+        assert "--dangling uniform-column" in err
+        assert not out.exists()
+        rc = main(["pagerank-temporal", str(seq), "--iterations", "100",
+                   "--dangling", "uniform-column", "--output-dir", str(out)])
+        assert rc == 0
+        assert _read(out, "vector.csv")[0] == ["a", "b", "c"]
 
     def test_joint_window_violation_exit_2(self, tmp_path):
         temporal = tmp_path / "seq.txt"
@@ -336,8 +377,62 @@ class TestOracle:
                    "--config", str(_tight_tol(tmp_path))])
         assert rc == 3
 
+    def test_power_method_not_converging_exit_3(self, tmp_path, capsys):
+        # a periodic graph at damping near 0: the iterate oscillates
+        f = tmp_path / "bip.txt"
+        f.write_text("a b\nb a\nb c\nc b\n")
+        rc = main(["oracle", str(f), "--damping", "1e-6",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 3
+        assert "did not converge" in capsys.readouterr().err
+
 
 def _tight_tol(tmp_path):
     cfg = tmp_path / "tight.cfg"
     cfg.write_text("oracle-tol = 1e-18\n")
     return cfg
+
+
+# Dead-option guard: each key in KEYS, set away from the base run, must change
+# an output value or the exit code. Every input has a dangling node, so that the
+# repair policy shows.
+GUARD_INPUT = {"centrality": DANGLING_TEXT, "pagerank": DANGLING_TEXT,
+               "pagerank-temporal": TEMPORAL_TEXT, "oracle": DANGLING_TEXT}
+GUARD_BASE = {"pagerank": "iterations = 300\n",
+              "pagerank-temporal": "iterations = 300\nsnapshot_stride = 100\n"}
+# joint_window is read only at omega = 0, where a window too short to connect
+# the snapshots' union exits 2
+GUARD_SPECIAL = {("pagerank-temporal", "joint_window"): (
+    "0 a b\n0 b a\n0 c d\n0 d c\n1 b c\n1 c b\n1 d a\n1 a d\n",
+    "omega = 0\niterations = 100\n")}
+GUARD_VALUE = {"damping": "0.3", "omega": "0.5", "rho": "0.5",
+               "iterations": "400", "seed": "1", "mode": "known-n",
+               "dangling": "uniform-column", "snapshot_stride": "50",
+               "joint_window": "2", "trace_stride": "7",
+               "output_dir": "elsewhere", "oracle_tol": "1e-18"}
+
+
+def _tree_values(root):
+    """{path: lines} of every file under root, less the '#' header lines,
+    which echo some keys without showing that they act."""
+    return {str(f.relative_to(root)): [line for line in f.read_bytes().splitlines()
+                                       if not line.startswith(b"#")]
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@pytest.mark.parametrize("command,key",
+                         [(cmd, key) for cmd in KEYS for key in KEYS[cmd]])
+def test_every_read_key_changes_the_run(tmp_path, monkeypatch, command, key):
+    text, base = GUARD_SPECIAL.get(
+        (command, key), (GUARD_INPUT[command], GUARD_BASE.get(command, "")))
+    (tmp_path / "in.txt").write_text(text)
+    runs = []
+    for name, cfg in (("base", base), ("varied", f"{base}{key} = {GUARD_VALUE[key]}\n")):
+        (tmp_path / f"{name}.cfg").write_text(cfg)
+        work = tmp_path / name  # the default output directory is "."
+        work.mkdir()
+        monkeypatch.chdir(work)
+        rc = main([command, str(tmp_path / "in.txt"),
+                   "--config", str(tmp_path / f"{name}.cfg")])
+        runs.append((rc, _tree_values(work)))
+    assert runs[0] != runs[1]

@@ -1,10 +1,14 @@
 """Invariants checked as properties over generated inputs."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from centrasim.cli import KEYS, main  # noqa: E402
 from centrasim.engine import project  # noqa: E402
 from centrasim.errors import RepairError  # noqa: E402
 from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
@@ -98,3 +102,31 @@ def test_oracle_is_fixed_point_of_every_projection(g):
             xs = x[rows.idx[i]]
             moved = project(xs, rows.coef[i], rows.y, 1.0 / g.n)
             assert np.abs(moved - xs).max() <= 1e-12
+
+
+# edge lists and temporal edge lists over a few labels, and token soup, so
+# that many inputs parse and reach the solvers
+_pairs = st.sampled_from([f"{u} {v}" for u in "abcd" for v in "abcd" if u != v])
+_input_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.one_of(
+        st.lists(_pairs, min_size=1, max_size=10).map("\n".join),
+        st.lists(st.tuples(st.integers(0, 2), _pairs), min_size=1, max_size=10)
+        .map(lambda lines: "\n".join(f"{t} {e}" for t, e in sorted(lines))),
+        st.lists(st.sampled_from(["0", "1", "a", "b", "-1", "#", "\n"]),
+                 max_size=20).map(" ".join),
+    ).map(str.encode),
+)
+
+
+@pytest.mark.parametrize("command", sorted(KEYS))
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=_input_bytes)
+def test_cli_exits_with_a_documented_code(command, data):
+    """Any input file ends in exit 0-3, never in a traceback."""
+    budget = ["--iterations", "50"] if command.startswith("pagerank") else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes(data)
+        rc = main([command, str(path), *budget, "--output-dir", str(Path(tmp) / "out")])
+    assert rc in (0, 1, 2, 3)
