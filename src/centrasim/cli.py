@@ -60,7 +60,13 @@ def _load_config_file(path, command):
         if key not in KEYS[command]:
             raise GraphFormatError(
                 f"config line {lineno}: {command!r} reads no key {key!r}")
-        cfg[key] = val.strip()
+        kind, val = type(DEFAULTS[key]), val.strip()
+        try:
+            cfg[key] = kind(val)
+        except ValueError:
+            raise GraphFormatError(
+                f"config line {lineno}: {key} = {val!r} is not "
+                f"{'an' if kind is int else 'a'} {kind.__name__}") from None
     return cfg
 
 
@@ -68,8 +74,7 @@ def resolve_config(args):
     """The command's keys: flags override config-file keys override defaults."""
     cfg = dict(DEFAULTS)
     if args.config:
-        for key, val in _load_config_file(args.config, args.command).items():
-            cfg[key] = type(DEFAULTS[key])(val)
+        cfg.update(_load_config_file(args.config, args.command))
     for key in KEYS[args.command]:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -80,13 +85,16 @@ def resolve_config(args):
         raise GraphFormatError(f"omega {cfg['omega']} outside [0,1]")
     if not 0.0 < cfg["rho"] <= 1.0:
         raise GraphFormatError(f"rho {cfg['rho']} outside (0,1]")
-    if cfg["iterations"] < 0:
-        raise GraphFormatError("iterations must be >= 0")
+    for key in ("iterations", "seed"):
+        if cfg[key] < 0:
+            raise GraphFormatError(f"{key} must be >= 0")
+    if not 0.0 < cfg["oracle_tol"] < np.inf:
+        raise GraphFormatError(f"oracle_tol {cfg['oracle_tol']} outside (0,inf)")
     if cfg["mode"] not in ("known-n", "unknown-n", "dist"):
         raise GraphFormatError(f"unknown mode {cfg['mode']!r}")
     if cfg["dangling"] not in ("backlink", "uniform-column"):
         raise GraphFormatError(f"unknown dangling policy {cfg['dangling']!r}")
-    for key in ("trace_stride", "snapshot_stride"):
+    for key in ("trace_stride", "snapshot_stride", "joint_window"):
         if cfg[key] < 1:
             raise GraphFormatError(f"{key} must be >= 1")
     return {key: cfg[key] for key in KEYS[args.command]}
@@ -100,29 +108,11 @@ def _normalize_or_raw(cv):
     return normalize(cv)
 
 
-def _output_dir(cfg):
-    """Create the output directory first: a bad path fails before the work."""
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
-def _write(outdir, name, text):
-    (outdir / name).write_text(text)
-
-
-def cmd_centrality(args):
-    cfg = resolve_config(args)
-    g = parse_edge_list(Path(args.input).read_text())
-    outdir = _output_dir(cfg)
+def cmd_centrality(text, cfg):
+    g = parse_edge_list(text)
     ls = run_levelset(g)
-
     deg = normalize(degree_centrality(g))
-    _write(outdir, "degree.csv", tables.serialize_centrality(deg, g.labels))
-
     clo = normalize(closeness_centrality(ls, g))
-    _write(outdir, "closeness.csv", tables.serialize_centrality(clo, g.labels))
-
     is_tree, _ = validate_oriented_tree(g)
     if is_tree:
         bet = tree_betweenness(ls, g)
@@ -131,23 +121,22 @@ def cmd_centrality(args):
         bet = brandes_betweenness(g)
         method = "oracle"
     bet = _normalize_or_raw(bet)
-    _write(outdir, "betweenness.csv",
-           tables.serialize_centrality(bet, g.labels, extras={"method": method}))
-
     repaired = repair_dangling(g, cfg["dangling"])
     w = build_hyperlink_matrix(repaired)
     pr = direct_ls_solve(build_regression_rows(w, cfg["damping"]))
     prv = CentralityVector(values=pr.x, kind="pagerank", normalized=True)
-    _write(outdir, "pagerank.csv",
-           tables.serialize_centrality(prv, g.labels, extras={"method": "oracle"}))
-    return 0
+    return {
+        "degree.csv": tables.serialize_centrality(deg, g.labels),
+        "closeness.csv": tables.serialize_centrality(clo, g.labels),
+        "betweenness.csv": tables.serialize_centrality(
+            bet, g.labels, extras={"method": method}),
+        "pagerank.csv": tables.serialize_centrality(
+            prv, g.labels, extras={"method": "oracle"}),
+    }
 
 
-def cmd_pagerank(args):
-    cfg = resolve_config(args)
-    g = repair_dangling(parse_edge_list(Path(args.input).read_text()),
-                        cfg["dangling"])
-    outdir = _output_dir(cfg)
+def cmd_pagerank(text, cfg):
+    g = repair_dangling(parse_edge_list(text), cfg["dangling"])
     m = cfg["damping"]
     oracle_x = (direct_ls_solve(build_regression_rows(build_hyperlink_matrix(g), m)).x
                 if g.n <= DENSE_ORACLE_LIMIT else None)
@@ -156,6 +145,7 @@ def cmd_pagerank(args):
     chain = surfer.SurferChain(matrix=kernel, omega=cfg["omega"], seed=cfg["seed"])
 
     mode = cfg["mode"]
+    out = {}
     if mode == "dist":
         rows_diag = rows_from_graph(g, m, n_known=True)
         sim = simulator.run_simulation(
@@ -170,7 +160,7 @@ def cmd_pagerank(args):
             est = sim.size_estimates.get(i)
             size_lines.append(
                 f"{g.labels[i]},{'absent' if est is None else tables.format_value(est)}")
-        _write(outdir, "size_estimates.csv", "\n".join(size_lines) + "\n")
+        out["size_estimates.csv"] = "\n".join(size_lines) + "\n"
     else:
         rows = rows_from_graph(g, m, n_known=(mode == "known-n"))
         res = engine.run(rows, chain, mode, cfg["iterations"],
@@ -180,24 +170,19 @@ def cmd_pagerank(args):
         trace_rows = res.trace_rows
 
     xv = CentralityVector(values=x, kind="pagerank", normalized=False)
-    _write(outdir, "vector.csv",
-           tables.serialize_centrality(xv, g.labels,
-                                       extras={"mode": mode, "seed": cfg["seed"]}))
-    _write(outdir, "trace.csv",
-           "\n".join([engine.TRACE_HEADER] + trace_rows) + "\n")
+    out["vector.csv"] = tables.serialize_centrality(
+        xv, g.labels, extras={"mode": mode, "seed": cfg["seed"]})
+    out["trace.csv"] = "\n".join([engine.TRACE_HEADER] + trace_rows) + "\n"
     if oracle_x is not None:
         err = float(np.abs(x - oracle_x).max())
         ov = CentralityVector(values=oracle_x, kind="pagerank", normalized=True)
-        _write(outdir, "oracle.csv",
-               tables.serialize_centrality(
-                   ov, g.labels,
-                   extras={"method": "direct-ls", "final_error": f"{err:.3e}"}))
-    return 0
+        out["oracle.csv"] = tables.serialize_centrality(
+            ov, g.labels, extras={"method": "direct-ls", "final_error": f"{err:.3e}"})
+    return out
 
 
-def cmd_pagerank_temporal(args):
-    cfg = resolve_config(args)
-    seq = parse_temporal_edge_list(Path(args.input).read_text())
+def cmd_pagerank_temporal(text, cfg):
+    seq = parse_temporal_edge_list(text)
     graphs = []
     for t, g in seq.snapshots:
         try:
@@ -205,7 +190,6 @@ def cmd_pagerank_temporal(args):
         except RepairError as exc:
             raise RepairError(f"snapshot at time {t}: {exc} "
                               "(--dangling uniform-column repairs it)") from exc
-    outdir = _output_dir(cfg)
     m = cfg["damping"]
     mats = [build_hyperlink_matrix(g) for g in graphs]
     kernels = surfer.build_transition_matrix_temporal(
@@ -216,26 +200,22 @@ def cmd_pagerank_temporal(args):
     res = engine.run_temporal(
         mats, kernels, chain, pa, m, cfg["iterations"], cfg["snapshot_stride"],
         trace_stride=cfg["trace_stride"])
+    labels = graphs[0].labels
     xv = CentralityVector(values=res.state.x, kind="pagerank", normalized=False)
-    _write(outdir, "vector.csv",
-           tables.serialize_centrality(
-               xv, graphs[0].labels,
-               extras={"mode": "temporal", "rho": cfg["rho"], "seed": cfg["seed"]}))
-    _write(outdir, "trace.csv",
-           "\n".join([engine.TRACE_HEADER] + res.trace_rows) + "\n")
     colsums = np.asarray(pa.wbar.sum(axis=0)).ravel()
     lines = ["# kind=wbar_column_sums"]
-    lines += [f"{graphs[0].labels[j]},{tables.format_value(v)}"
-              for j, v in enumerate(colsums)]
-    _write(outdir, "wbar_colsums.csv", "\n".join(lines) + "\n")
-    return 0
+    lines += [f"{labels[j]},{tables.format_value(v)}" for j, v in enumerate(colsums)]
+    return {
+        "vector.csv": tables.serialize_centrality(
+            xv, labels,
+            extras={"mode": "temporal", "rho": cfg["rho"], "seed": cfg["seed"]}),
+        "trace.csv": "\n".join([engine.TRACE_HEADER] + res.trace_rows) + "\n",
+        "wbar_colsums.csv": "\n".join(lines) + "\n",
+    }
 
 
-def cmd_oracle(args):
-    cfg = resolve_config(args)
-    g = repair_dangling(parse_edge_list(Path(args.input).read_text()),
-                        cfg["dangling"])
-    outdir = _output_dir(cfg)
+def cmd_oracle(text, cfg):
+    g = repair_dangling(parse_edge_list(text), cfg["dangling"])
     m = cfg["damping"]
     w = build_hyperlink_matrix(g)
     try:
@@ -249,14 +229,7 @@ def cmd_oracle(args):
             f"power method and LS solve disagree by {gap:.3e} "
             f"(> {cfg['oracle_tol']:.1e})")
     prv = CentralityVector(values=ls.x, kind="pagerank", normalized=True)
-    _write(outdir, "pagerank.csv",
-           tables.serialize_centrality(
-               prv, g.labels,
-               extras={"method": "direct-ls+power", "crosscheck": f"{gap:.3e}",
-                       "tolerance": f"{cfg['oracle_tol']:.1e}"}))
     bet = _normalize_or_raw(brandes_betweenness(g))
-    _write(outdir, "betweenness.csv",
-           tables.serialize_centrality(bet, g.labels, extras={"method": "brandes"}))
     d = bfs_all_pairs(g)
     reach_all = np.isfinite(d).all()
     if reach_all:
@@ -268,9 +241,16 @@ def cmd_oracle(args):
         vals = recip.sum(axis=1)
     kind = "closeness" if reach_all else "harmonic-closeness"
     clo = normalize(CentralityVector(values=vals, kind=kind))
-    _write(outdir, "closeness.csv",
-           tables.serialize_centrality(clo, g.labels, extras={"method": "bfs"}))
-    return 0
+    return {
+        "pagerank.csv": tables.serialize_centrality(
+            prv, g.labels,
+            extras={"method": "direct-ls+power", "crosscheck": f"{gap:.3e}",
+                    "tolerance": f"{cfg['oracle_tol']:.1e}"}),
+        "betweenness.csv": tables.serialize_centrality(
+            bet, g.labels, extras={"method": "brandes"}),
+        "closeness.csv": tables.serialize_centrality(
+            clo, g.labels, extras={"method": "bfs"}),
+    }
 
 
 def build_parser():
@@ -279,6 +259,7 @@ def build_parser():
         description="Distributed centrality and incremental PageRank simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # read at each call, so a cmd_* swapped in after import is the one run
     for name, fn in (("centrality", cmd_centrality),
                      ("pagerank", cmd_pagerank),
                      ("pagerank-temporal", cmd_pagerank_temporal),
@@ -294,6 +275,8 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command, which returns {file name: table text}, and write its
+    tables; a failed run writes none and removes the directories it made."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -301,7 +284,23 @@ def main(argv=None):
         # argparse exits 2 on usage errors; remap to the documented code 1
         raise SystemExit(0 if exc.code == 0 else 1)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        text = Path(args.input).read_text()
+        outdir, created = Path(cfg["output_dir"]), []
+        try:
+            # the output directory exists before the work: a bad path fails first
+            for d in (*reversed(outdir.parents), outdir):
+                if not d.is_dir():
+                    d.mkdir()
+                    created.append(d)
+            outputs = args.func(text, cfg)
+        except BaseException:
+            for d in reversed(created):  # leaf first; nothing is written yet
+                d.rmdir()
+            raise
+        for name, table in outputs.items():
+            (outdir / name).write_text(table)
+        return 0
     except AssumptionError as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return 2

@@ -187,6 +187,22 @@ class TestPagerank:
         assert capsys.readouterr().err.startswith("error: ")
         assert called == []
 
+    @pytest.mark.parametrize("command,text,flags,code", [
+        ("pagerank", "a b\nb a\nc d\nd c\n", ["--omega", "0"], 2),
+        ("pagerank-temporal", "0 a b\n0 b a\n0 c d\n0 d c\n"
+         "1 b c\n1 c b\n1 d a\n1 a d\n", ["--omega", "0"], 2),
+        ("oracle", "a b\nb a\nb c\nc b\n", ["--damping", "1e-6"], 3),
+    ], ids=["disconnected", "joint-window", "no-convergence"])
+    def test_failed_run_leaves_nothing(self, tmp_path, monkeypatch, command,
+                                       text, flags, code):
+        """The output directories a failed run created are removed again."""
+        (tmp_path / "in.txt").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        budget = ["--iterations", "100"] if command.startswith("pagerank") else []
+        rc = main([command, "in.txt", *flags, *budget, "--output-dir", "new/a/b"])
+        assert rc == code
+        assert not (tmp_path / "new").exists()
+
     def test_dist_locality_failure_writes_nothing(self, fig1_file, tmp_path,
                                                   monkeypatch):
         from centrasim.simulator import LocalityAudit
@@ -276,6 +292,32 @@ class TestConfigPrecedence:
                    "--output-dir", str(out)])
         assert rc == 0
         assert _read(out, "vector.csv")[2]["mode"] == "known-n"
+
+    @pytest.mark.parametrize("command,flags,cfg,message", [
+        ("pagerank", [], "iterations = 1e3",
+         "config line 1: iterations = '1e3' is not an int"),
+        ("oracle", [], "damping = high",
+         "config line 1: damping = 'high' is not a float"),
+        ("pagerank", ["--seed", "-1"], "", "seed must be >= 0"),
+        ("pagerank-temporal", ["--joint-window", "-5"], "",
+         "joint_window must be >= 1"),
+        ("oracle", [], "oracle_tol = nan", "oracle_tol nan outside (0,inf)"),
+        ("oracle", [], "oracle_tol = -1", "oracle_tol -1.0 outside (0,inf)"),
+    ], ids=["int", "float", "seed", "joint-window", "tol-nan", "tol-negative"])
+    def test_bad_value_exit_1_before_output_dir(self, tmp_path, capsys,
+                                                monkeypatch, command, flags,
+                                                cfg, message):
+        import centrasim.cli as cli
+        called = []
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                            lambda *a: called.append(command))
+        (tmp_path / "run.cfg").write_text(cfg + "\n")
+        out = tmp_path / "new"
+        rc = main([command, str(_two_cycle(tmp_path, command)), *flags,
+                   "--config", str(tmp_path / "run.cfg"), "--output-dir", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() and called == []
 
     @pytest.mark.parametrize("key", ["trace-stride", "snapshot-stride"])
     def test_zero_stride_in_config_exit_1(self, tmp_path, capsys, key):

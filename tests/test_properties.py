@@ -104,13 +104,16 @@ def test_oracle_is_fixed_point_of_every_projection(g):
             assert np.abs(moved - xs).max() <= 1e-12
 
 
-# edge lists and temporal edge lists over a few labels, and token soup, so
-# that many inputs parse and reach the solvers
+# edge lists and temporal edge lists over a few labels, edge lists split
+# into the components {a, b} and {c, d}, and token soup, so that many inputs
+# parse and reach the solvers
 _pairs = st.sampled_from([f"{u} {v}" for u in "abcd" for v in "abcd" if u != v])
 _input_bytes = st.one_of(
     st.binary(max_size=64),
     st.one_of(
         st.lists(_pairs, min_size=1, max_size=10).map("\n".join),
+        st.lists(st.sampled_from(["a b", "b a", "c d", "d c"]), min_size=2,
+                 max_size=6).map("\n".join),
         st.lists(st.tuples(st.integers(0, 2), _pairs), min_size=1, max_size=10)
         .map(lambda lines: "\n".join(f"{t} {e}" for t, e in sorted(lines))),
         st.lists(st.sampled_from(["0", "1", "a", "b", "-1", "#", "\n"]),
@@ -123,10 +126,15 @@ _input_bytes = st.one_of(
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(data=_input_bytes)
 def test_cli_exits_with_a_documented_code(command, data):
-    """Any input file ends in exit 0-3, never in a traceback."""
-    budget = ["--iterations", "50"] if command.startswith("pagerank") else []
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.txt"
-        path.write_bytes(data)
-        rc = main([command, str(path), *budget, "--output-dir", str(Path(tmp) / "out")])
-    assert rc in (0, 1, 2, 3)
+    """Any input file ends in exit 0-3, never in a traceback, and only a run
+    that exits 0 leaves its output directory: also at omega = 0 (pagerank*)
+    or damping 1e-6 (the others), where more runs fail past the parse."""
+    pagerank = command.startswith("pagerank")
+    budget = ["--iterations", "50"] if pagerank else []
+    for flags in ([], ["--omega", "0"] if pagerank else ["--damping", "1e-6"]):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "in.txt", Path(tmp) / "out"
+            path.write_bytes(data)
+            rc = main([command, str(path), *budget, *flags, "--output-dir", str(out)])
+            assert rc in (0, 1, 2, 3)
+            assert (rc == 0) == out.exists()

@@ -3,7 +3,8 @@
 The tracer replaces module attributes by name, so a rename in the package
 silently drops a per-layer metric. Each case runs the tracer in its own
 process, where its patching cannot leak into other tests, and checks that
-the per-step calls of that command were counted.
+the per-step calls of that command were counted and the command itself
+was traced.
 """
 from __future__ import annotations
 
@@ -44,6 +45,9 @@ def test_traced_cli_counts_per_step_calls(case, tmp_path):
          "--output-dir", str(tmp_path / "out")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(trace.read_text())["calls"]
+    traced = json.loads(trace.read_text())
     for name in names:
-        assert len(calls.get(name, [])) > 0, f"{name} not counted"
+        assert len(traced["calls"].get(name, [])) > 0, f"{name} not counted"
+    # main looks each command up by name, so the tracer's wrapper runs
+    span = "cli.cmd_" + args[0].replace("-", "_")
+    assert span in {s["name"] for s in traced["spans"]}, f"{span} not traced"
