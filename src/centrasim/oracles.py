@@ -32,14 +32,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from .graph import adjacency_csr
 from .levelsets import CentralityVector
 from .matrix import apply_google_matrix, in_links
 
-DENSE_ORACLE_LIMIT = 10_000
 # sources per BFS sweep block: bounds the sweep's memory to a few block x
 # n arrays plus the block's shortest-path DAG
 _SWEEP_BLOCK = 64
@@ -63,17 +61,13 @@ class RegressionRows:
 
     @cached_property
     def csr(self):
+        """Stacked rows as a CSR matrix with sorted columns, built on first
+        use; the temporal engine rebuilds rows per snapshot and never asks."""
         csr = sp.csr_matrix(
             (np.concatenate(self.coef), np.concatenate(self.idx),
              np.cumsum([0, *map(len, self.idx)])), shape=(self.n, self.n))
         csr.sort_indices()
         return csr
-
-    def matrix(self):
-        """Stacked rows as a CSR matrix with sorted columns (diagnostics and
-        direct solves); built on the first call, then cached. The temporal
-        engine rebuilds rows per snapshot and never asks for it."""
-        return self.csr
 
 
 @dataclass(frozen=True)
@@ -143,8 +137,7 @@ def ls_objective(x, rows, y=None):
         y = rows.y
     if y is None:
         raise ValueError("rows carry no target; pass y explicitly")
-    h = rows.matrix()
-    r = y - h @ x
+    r = y - rows.csr @ x
     return float(r @ r)
 
 
@@ -160,15 +153,16 @@ def direct_ls_solve(rows, y=None):
     rank-k update that mirrors the result, so gram.T equals gram bit for
     bit; gram.T is the F-contiguous view that LAPACK overwrites without a
     copy, where the C-contiguous gram would be copied even with
-    overwrite_a. The residual comes from the sparse rows.
+    overwrite_a. The residual comes from the sparse rows. The CLI takes its
+    oracle from the power method; this solve is the tests' reference.
     """
-    if rows.n > DENSE_ORACLE_LIMIT:
-        raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_LIMIT}")
+    import scipy.linalg as la  # here, so that no CLI command loads LAPACK
+
     if y is None:
         y = rows.y
     if y is None:
         raise ValueError("rows carry no target; pass y explicitly")
-    h = rows.matrix().toarray()
+    h = rows.csr.toarray()
     gram = h.T @ h
     rhs = h.T @ np.full(rows.n, y)
     del h
@@ -177,7 +171,7 @@ def direct_ls_solve(rows, y=None):
     except la.LinAlgError as exc:
         raise ValueError("Gram matrix is not positive definite") from exc
     x = la.cho_solve(cho, rhs)
-    res = y - rows.matrix() @ x
+    res = y - rows.csr @ x
     return LsSolution(x=x, residual=float(res @ res))
 
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+import centrasim.cli as cli
 from centrasim.cli import DEFAULTS, KEYS, main
+from centrasim.graph import parse_edge_list, repair_dangling
+from centrasim.matrix import build_hyperlink_matrix
+from centrasim.oracles import LsSolution, build_regression_rows, direct_ls_solve
 from centrasim.tables import parse_centrality
 
 from conftest import DANGLING_TEXT, FIG1_TEXT, TEMPORAL_TEXT
+from test_acceptance import weblike_graph
 
 TABLE1 = {
     "degree": [.1667, .1667, .2500, .1667, .0833, .1667],
@@ -109,6 +114,21 @@ class TestPagerank:
                                      extras={"mode": "unknown-n", "seed": 3})
         assert again == text
 
+    def test_oracle_past_ten_thousand_nodes(self, tmp_path):
+        n = 10_001  # a ring with chords
+        f = tmp_path / "ring.txt"
+        f.write_text("".join(f"{i} {(i + 1) % n}\n{i} {(i + 37) % n}\n"
+                             for i in range(n)))
+        rc = main(["pagerank", str(f), "--iterations", "200",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 0
+        _, oracle, header = _read(tmp_path, "oracle.csv")
+        assert np.allclose(oracle, 1 / n, rtol=1e-12)
+        assert np.isfinite(float(header["final_error"]))
+        trace = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert trace and all(np.isfinite(float(row.split(",")[1]))
+                             for row in trace)
+
     def test_disconnected_omega_zero_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("a b\nb a\nc d\nd c\n")
@@ -192,7 +212,10 @@ class TestPagerank:
         ("pagerank-temporal", "0 a b\n0 b a\n0 c d\n0 d c\n"
          "1 b c\n1 c b\n1 d a\n1 a d\n", ["--omega", "0"], 2),
         ("oracle", "a b\nb a\nb c\nc b\n", ["--damping", "1e-6"], 3),
-    ], ids=["disconnected", "joint-window", "no-convergence"])
+        ("pagerank", "a b\nb a\nb c\nc b\n", ["--damping", "1e-6"], 3),
+        ("centrality", "a b\nb a\nb c\nc b\n", ["--damping", "1e-6"], 3),
+    ], ids=["disconnected", "joint-window", "no-convergence",
+            "pagerank-no-convergence", "centrality-no-convergence"])
     def test_failed_run_leaves_nothing(self, tmp_path, monkeypatch, command,
                                        text, flags, code):
         """The output directories a failed run created are removed again."""
@@ -402,7 +425,7 @@ class TestOracle:
         assert rc == 0
         _, pr, header = _read(tmp_path, "pagerank.csv")
         assert np.abs(pr - TABLE1["pagerank"]).max() < 5e-4
-        assert float(header["crosscheck"]) < 1e-8
+        assert float(header["error_bound"]) < 1e-8
         _, clo, _ = _read(tmp_path, "closeness.csv")
         assert np.abs(clo - TABLE1["closeness"]).max() < 5e-4
 
@@ -427,6 +450,41 @@ class TestOracle:
                    "--output-dir", str(tmp_path)])
         assert rc == 3
         assert "did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("graph", ["fig1", "web400"])
+    def test_error_bound_covers_true_error(self, tmp_path, monkeypatch, graph):
+        text = FIG1_TEXT if graph == "fig1" else "".join(
+            f"{u} {v}\n" for u, v in sorted(
+                weblike_graph(np.random.default_rng(101), 400).edges))
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        g = repair_dangling(parse_edge_list(text), "backlink")
+        x_star = direct_ls_solve(build_regression_rows(
+            build_hyperlink_matrix(g), DEFAULTS["damping"])).x
+        loose = tmp_path / "loose.cfg"
+        loose.write_text("oracle_tol = 1\n")
+        rng = np.random.default_rng(7)
+        for scale in (1e-12, 1e-9, 1e-6):
+            delta = scale * rng.standard_normal(g.n)
+            monkeypatch.setattr(cli, "power_method", lambda w, m, **k: LsSolution(
+                x=x_star + delta, residual=0.0))
+            out = tmp_path / f"out{scale}"
+            rc = main(["oracle", str(f), "--config", str(loose),
+                       "--output-dir", str(out)])
+            assert rc == 0
+            _, _, header = _read(out, "pagerank.csv")
+            assert float(header["error_bound"]) >= np.abs(delta).sum()
+
+    def test_perturbed_vector_exit_3(self, fig1_file, tmp_path, monkeypatch,
+                                     capsys):
+        real = cli.power_method
+        monkeypatch.setattr(cli, "power_method", lambda w, m, **k: LsSolution(
+            x=real(w, m, **k).x + 1e-6, residual=0.0))
+        out = tmp_path / "new" / "a"
+        rc = main(["oracle", str(fig1_file), "--output-dir", str(out)])
+        assert rc == 3
+        assert "error bound" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
 
 def _tight_tol(tmp_path):

@@ -3,7 +3,9 @@
 Each run below calls the CLI in-process at a fixed seed and a budget of at
 most 5000 steps; the sha256 of every file it writes must equal the digest
 recorded in golden_outputs.json (recorded at commit 99bc5eb; the
-temporal-uniform-column entry at 4db7647, before the CSR matrices).
+temporal-uniform-column entry at 4db7647, before the CSR matrices; the
+nine lines that moved when the CLI's PageRank oracle became the power
+method, on top of 08e1aef: the oracle headers and four trace error digits).
 test_deterministic_outputs compares two runs of the same code; this test
 compares against the recorded bytes, so a change that moves any output in
 its last digit fails here. On a mismatch the first differing line is
