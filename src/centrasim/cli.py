@@ -18,7 +18,7 @@ from .graph import parse_edge_list, parse_temporal_edge_list, repair_dangling, \
     validate_oriented_tree
 from .levelsets import CentralityVector, closeness_centrality, \
     degree_centrality, normalize, run_levelset, tree_betweenness
-from .matrix import PersistentAverage, build_hyperlink_matrix
+from .matrix import PersistentAverage, build_hyperlink_matrix, column_sums
 from .oracles import bfs_all_pairs, brandes_betweenness, build_regression_rows, \
     power_method, rows_from_graph
 
@@ -209,9 +209,9 @@ def cmd_pagerank_temporal(text, cfg):
         trace_stride=cfg["trace_stride"])
     labels = graphs[0].labels
     xv = CentralityVector(values=res.state.x, kind="pagerank", normalized=False)
-    colsums = np.asarray(pa.wbar.sum(axis=0)).ravel()
     lines = ["# kind=wbar_column_sums"]
-    lines += [f"{labels[j]},{tables.format_value(v)}" for j, v in enumerate(colsums)]
+    lines += [f"{labels[j]},{tables.format_value(v)}"
+              for j, v in enumerate(column_sums(pa.wbar))]
     return {
         "vector.csv": tables.serialize_centrality(
             xv, labels,

@@ -7,14 +7,13 @@ Round t+1 computes, for every node i simultaneously,
 
 and the mirrored recursion for the backward sets L_i^t over in-neighbors.
 Each direction is one hop-distance matrix, dist[i, v] = the round in which
-v joined node i's sets (0 on the diagonal, -1 if never). A round is one
-boolean sparse product for all nodes, cur = (adj @ cur) & (dist < 0): row
-i ORs only the round-t rows of i's neighbors, which is what makes the
-scheme message-local; the optional audit logs every read so tests can
-verify that claim. The product is boolean because an integer count of
-messages could wrap. L runs its own rounds over in_adj rather than reading
-the transpose of R, because each node builds its L sets from its
-in-neighbors' messages.
+v joined node i's sets (0 on the diagonal, -1 if never). Each node's
+round-t set is one bit-packed row, and a round is one OR-reduction for all
+nodes: row i ORs only the round-t rows of i's neighbors, which is what
+makes the scheme message-local, then drops what it already holds. The
+optional audit logs every read so tests can verify that claim. L runs its
+own rounds over in_adj rather than reading the transpose of R, because
+each node builds its L sets from its in-neighbors' messages.
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NotOrientedTreeError
 from .graph import adjacency_csr, validate_oriented_tree
@@ -65,34 +63,46 @@ class MessageAudit:
     reads: list = field(default_factory=list)  # (reader, sender, round, kind)
     per_round_totals: list = field(default_factory=list)  # both directions
 
-    def record_round(self, adj, t, kind):
-        """Reader i reads sender j's set for every stored adj[i, j]."""
-        readers = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+    def record_round(self, indptr, indices, t, kind):
+        """Reader i reads sender j's set for every j in
+        indices[indptr[i]:indptr[i+1]]."""
+        readers = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
         self.reads += [(i, j, t, kind) for i, j in
-                       zip(readers.tolist(), adj.indices.tolist())]
+                       zip(readers.tolist(), indices.tolist())]
         if len(self.per_round_totals) < t:
             self.per_round_totals.append(0)
-        self.per_round_totals[t - 1] += adj.nnz
+        self.per_round_totals[t - 1] += indices.size
 
 
 def _distances(adj_lists, audit, kind):
     """Hop distances by synchronous rounds over one adjacency direction."""
     n = len(adj_lists)
     indptr, indices = adjacency_csr(adj_lists)
-    adj = sp.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
-                        shape=(n, n))
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    cur = np.eye(n, dtype=bool)
+    # reduceat ORs the segments between consecutive starts, so rows with no
+    # neighbors are left out and stay empty
+    readers = np.flatnonzero(np.diff(indptr))
+    # row i's set as bits packed into 64-bit words
+    eye = np.eye(n, -(-n // 64) * 64, dtype=bool)
+    cur = np.packbits(eye, axis=1).view(np.uint64)
+    seen = cur.copy()
+    # dist[i, v] counts the rounds that ended with v outside node i's sets:
+    # the round v joined, or every round if it never did
+    dist = np.zeros((n, n), dtype=np.int32)
     t = 0
     while cur.any():
+        dist += np.unpackbits((~seen).view(np.uint8), axis=1, count=n)
         # every node knows its own adjacency, so only rounds past the
         # first read a neighbor's set
         if audit is not None and t:
-            audit.record_round(adj, t, kind)
-        cur = (adj @ cur) & (dist < 0)
+            audit.record_round(indptr, indices, t, kind)
+        heard = np.zeros_like(cur)
+        if readers.size:
+            heard[readers] = np.bitwise_or.reduceat(cur[indices],
+                                                    indptr[readers], axis=0)
+        cur = heard & ~seen
+        seen |= cur
         t += 1
-        dist[cur] = t
+    dist[dist == t] = -1
     return dist
 
 

@@ -9,7 +9,7 @@ Both row builders compute only their off-diagonal coefficients, from a
 matrix ((1-m)*W_ij) or from out-degrees ((1-m)/outdeg(j)); the two differ
 in the last bit for some degrees, so each keeps its own. One vectorized
 assembly then lays every row out as the diagonal followed by the sorted
-in-neighbor columns; the stacked CSR for diagnostics and solves is built
+in-neighbor columns; the stacked Csr for diagnostics and solves is built
 on first use.
 
 Brandes betweenness and all-pairs BFS share one sweep: breadth-first search
@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import adjacency_csr
 from .levelsets import CentralityVector
-from .matrix import apply_google_matrix, in_links
+from .matrix import Csr, apply_google_matrix, in_links
 
 # sources per BFS sweep block: bounds the sweep's memory to a few block x
 # n arrays plus the block's shortest-path DAG
@@ -61,13 +60,13 @@ class RegressionRows:
 
     @cached_property
     def csr(self):
-        """Stacked rows as a CSR matrix with sorted columns, built on first
-        use; the temporal engine rebuilds rows per snapshot and never asks."""
-        csr = sp.csr_matrix(
-            (np.concatenate(self.coef), np.concatenate(self.idx),
-             np.cumsum([0, *map(len, self.idx)])), shape=(self.n, self.n))
-        csr.sort_indices()
-        return csr
+        """Stacked rows as a Csr with sorted columns, built on first use;
+        the temporal engine rebuilds rows per snapshot and never asks."""
+        indptr = np.cumsum([0, *map(len, self.idx)])
+        cols = np.concatenate(self.idx)
+        order = np.lexsort((cols, np.repeat(np.arange(self.n), np.diff(indptr))))
+        return Csr(indptr, cols[order], np.concatenate(self.coef)[order],
+                   (self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -98,13 +97,14 @@ def _assemble(n, m, diag, rows, cols, vals, n_known):
 
 
 def build_regression_rows(w, m, n_known=True):
-    """Rows of I - (1-m)W from a column-stochastic W (scipy sparse), read
-    row by row from its CSR form."""
+    """Rows of I - (1-m)W from a column-stochastic W, read row by row from
+    a Csr or from any scipy sparse matrix in its CSR form."""
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
-    w = w.tocsr()
-    if not w.has_sorted_indices:
-        w = w.sorted_indices()
+    if not isinstance(w, Csr):
+        w = w.tocsr()
+        if not w.has_sorted_indices:
+            w = w.sorted_indices()
     rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
     off = rows != w.indices
     # No self-loops upstream, so the diagonal is 1; a diagonal entry of W

@@ -53,6 +53,13 @@ def fig1():
     return g
 
 
+def as_scipy(w):
+    """The package's Csr matrix w as a scipy CSR matrix over the same arrays,
+    for the reference computations only scipy provides."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((w.data, w.indices, w.indptr), shape=w.shape)
+
+
 def random_digraph(rng, n, p=0.15, repaired=True):
     """Random digraph; with repaired=True every node gets out-degree >= 1."""
     mask = rng.random((n, n)) < p

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import centrasim
 import centrasim.cli as cli
 from centrasim.cli import DEFAULTS, KEYS, main
 from centrasim.graph import parse_edge_list, repair_dangling
@@ -536,3 +542,32 @@ def test_every_read_key_changes_the_run(tmp_path, monkeypatch, command, key):
                    "--config", str(tmp_path / f"{name}.cfg")])
         runs.append((rc, _tree_values(work)))
     assert runs[0] != runs[1]
+
+
+# Importing scipy.sparse costs a CLI process more time and memory than its
+# commands take on small graphs; only direct_ls_solve, which no command
+# calls, may load scipy.
+NO_SCIPY_SCRIPT = """
+import sys
+import centrasim
+from centrasim import cli
+assert "scipy" not in sys.modules, "import centrasim"
+for argv in (["centrality", "fig1.txt"], ["pagerank", "fig1.txt"],
+             ["pagerank", "fig1.txt", "--mode", "dist"],
+             ["pagerank-temporal", "seq.txt"], ["oracle", "fig1.txt"]):
+    rc = cli.main([*argv, "--iterations", "500"] if "pagerank" in argv[0]
+                  else argv)
+    assert rc == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    (tmp_path / "fig1.txt").write_text(FIG1_TEXT)
+    (tmp_path / "seq.txt").write_text("0 a b\n0 b a\n0 b c\n0 c b\n"
+                                      "1 a c\n1 c a\n1 b c\n1 c b\n")
+    src = Path(centrasim.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import (PersistentAverage, apply_google_matrix,
                               build_hyperlink_matrix)
 
-from conftest import random_digraph
+from conftest import as_scipy, random_digraph
 
 # Example 1 hyperlink matrix of the six-node reference graph
 FIG1_W = np.array([
@@ -50,7 +50,7 @@ class TestHyperlinkMatrix:
         for _ in range(100):
             n = int(rng.integers(2, 200))
             g = repair_dangling(random_digraph(rng, n, p=3.0 / n), "backlink")
-            w = build_hyperlink_matrix(g)
+            w = as_scipy(build_hyperlink_matrix(g))
             sums = np.asarray(w.sum(axis=0)).ravel()
             assert np.abs(sums - 1).max() <= 1e-12
 
@@ -90,7 +90,7 @@ class TestHyperlinkMatrixMatchesLoop:
             n = int(rng.integers(2, 80))
             g = random_digraph(rng, n, p=2.0 / n, repaired=policy == "backlink")
             g = repair_dangling(g, policy)
-            w = build_hyperlink_matrix(g)
+            w = as_scipy(build_hyperlink_matrix(g))
             assert w.format == "csr" and w.has_canonical_format
             assert np.array_equal(w.toarray(),
                                   _reference_hyperlink_matrix(g).toarray())
@@ -203,7 +203,7 @@ class TestPersistentAverage:
         pa = PersistentAverage(rho=0.6)
         for _ in range(40):
             pa.update(w)
-            sums = np.asarray(pa.wbar.sum(axis=0)).ravel()
+            sums = np.asarray(as_scipy(pa.wbar).sum(axis=0)).ravel()
             assert np.abs(sums - 1).max() < 1e-12
 
     def test_bad_rho(self):

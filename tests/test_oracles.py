@@ -13,7 +13,7 @@ from centrasim.oracles import (_SWEEP_BLOCK, _assemble, build_regression_rows,
                                direct_ls_solve, ls_objective, LsSolution,
                                power_method, rows_from_graph)
 
-from conftest import FIG1_TEXT, dense50_graph, random_digraph
+from conftest import FIG1_TEXT, as_scipy, dense50_graph, random_digraph
 from test_acceptance import weblike_graph
 
 TABLE1_PAGERANK = np.array([.0727, .1122, .1986, .2963, .1131, .2072])
@@ -33,7 +33,7 @@ def _loop_graph_rows(g, m):
 
 def _loop_matrix_rows(w, m):
     """Per-row reference for build_regression_rows (W has no diagonal)."""
-    wr = w.tocsr()
+    wr = as_scipy(w)
     idx, coef = [], []
     for i in range(w.shape[0]):
         cols = wr.indices[wr.indptr[i]:wr.indptr[i + 1]]
@@ -77,13 +77,13 @@ def _row_build_cases():
         graphs.append(repair_dangling(random_digraph(
             rng, n, p=2.0 / n, repaired=policy == "backlink"), policy))
     for g in graphs:
-        yield build_hyperlink_matrix(g)
+        yield as_scipy(build_hyperlink_matrix(g))
     # persistent averages: entries no longer 1/outdeg, diagonals nonzero
     pa = PersistentAverage(rho=0.9)
     for _ in range(30):
         g = random_digraph(rng, 12, p=0.25)
         pa.update(build_hyperlink_matrix(g))
-        yield pa.wbar_rows()
+        yield as_scipy(pa.wbar_rows())
 
 
 def _reference_ls_solve(rows, y=None):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -16,9 +17,13 @@ from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
                              repair_dangling, serialize_edge_list,
                              serialize_temporal_edge_list)
 from centrasim.levelsets import run_levelset  # noqa: E402
-from centrasim.matrix import build_hyperlink_matrix  # noqa: E402
+from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa: E402
+                              column_sums)
 from centrasim.oracles import (bfs_all_pairs, build_regression_rows,  # noqa: E402
                                direct_ls_solve, rows_from_graph)
+
+from conftest import as_scipy  # noqa: E402
+from test_acceptance import weblike_graph  # noqa: E402
 
 
 @st.composite
@@ -88,7 +93,7 @@ def test_columns_sum_to_one_after_repair(g, policy):
             repair_dangling(g, policy)
         return
     w = build_hyperlink_matrix(repair_dangling(g, policy))
-    assert np.abs(np.asarray(w.sum(axis=0)).ravel() - 1.0).max() <= 1e-12
+    assert np.abs(np.asarray(as_scipy(w).sum(axis=0)).ravel() - 1.0).max() <= 1e-12
 
 
 @settings(derandomize=True, deadline=None)
@@ -102,6 +107,73 @@ def test_oracle_is_fixed_point_of_every_projection(g):
             xs = x[rows.idx[i]]
             moved = project(xs, rows.coef[i], rows.y, 1.0 / g.n)
             assert np.abs(moved - xs).max() <= 1e-12
+
+
+@st.composite
+def hyperlink_graphs(draw):
+    """Repaired graphs for hyperlink matrices: random digraphs under either
+    dangling policy, or web-like graphs with heavy-tailed in-degrees."""
+    if draw(st.booleans()):
+        return weblike_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                             draw(st.integers(20, 400)))
+    g = draw(digraphs(min_n=2))
+    policy = draw(st.sampled_from(["backlink", "uniform-column"]))
+    if policy == "backlink" and any(not g.in_adj[d] for d in g.dangling_nodes()):
+        policy = "uniform-column"  # a dangling node with no in-link to send back to
+    return repair_dangling(g, policy)
+
+
+def _scipy_rows(rows):
+    """RegressionRows stacked by scipy, columns sorted by sort_indices."""
+    h = sp.csr_matrix((np.concatenate(rows.coef), np.concatenate(rows.idx),
+                       np.cumsum([0, *map(len, rows.idx)])), shape=(rows.n, rows.n))
+    h.sort_indices()
+    return h
+
+
+def _assert_same_csr(got, ref):
+    """Same pattern and the same data bytes."""
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.data.tobytes() == ref.data.tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(hyperlink_graphs(), st.integers(0, 2**32 - 1))
+def test_csr_products_equal_scipy_bit_for_bit(g, seed):
+    w = build_hyperlink_matrix(g)
+    ref = as_scipy(w)
+    x = np.random.default_rng(seed).standard_normal(g.n)
+    assert (w @ x).tobytes() == (ref @ x).tobytes()
+    assert column_sums(w).tobytes() == np.asarray(ref.sum(axis=0)).ravel().tobytes()
+    for rows in (rows_from_graph(g, m=0.15), build_regression_rows(w, m=0.15)):
+        h = _scipy_rows(rows)
+        _assert_same_csr(rows.csr, h)
+        assert (rows.csr @ x).tobytes() == (h @ x).tobytes()
+
+
+@st.composite
+def snapshot_sequences(draw):
+    """1..8 uniform-column repaired snapshots over one node set."""
+    n = draw(st.integers(2, 12))
+    snaps = draw(st.lists(digraphs(min_n=n, max_n=n), min_size=1, max_size=8))
+    return [repair_dangling(g, "uniform-column") for g in snaps]
+
+
+# at rho = 1e-17, z rounds to 1 and entries that leave the pattern cancel to
+# exactly zero: the one case where scipy prunes an entry
+@settings(derandomize=True, deadline=None)
+@given(snapshot_sequences(), st.sampled_from([1e-17, 0.3, 0.9, 1.0]))
+def test_persistent_average_equals_scipy_bit_for_bit(graphs, rho):
+    pa, ref, z = PersistentAverage(rho=rho), None, 0.0
+    for g in graphs:
+        w = build_hyperlink_matrix(g)
+        pa.update(w)
+        z = rho * z + 1.0
+        ref = as_scipy(w) if ref is None else ref + (as_scipy(w) - ref) * (1.0 / z)
+        _assert_same_csr(pa.wbar, ref)
+        assert column_sums(pa.wbar).tobytes() == \
+            np.asarray(ref.sum(axis=0)).ravel().tobytes()
 
 
 # edge lists and temporal edge lists over a few labels, edge lists split

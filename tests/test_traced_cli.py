@@ -3,8 +3,8 @@
 The tracer replaces module attributes by name, so a rename in the package
 silently drops a per-layer metric. Each case runs the tracer in its own
 process, where its patching cannot leak into other tests, and checks that
-the per-step calls of that command were counted and the command itself
-was traced.
+the per-step calls of that command were counted and that the command and
+its per-layer calls were traced.
 """
 from __future__ import annotations
 
@@ -21,27 +21,35 @@ from conftest import FIG1_TEXT
 REPO = Path(__file__).resolve().parents[1]
 TRACED = REPO / "perfbench" / "traced_cli.py"
 
+# case: (command arguments, per-step calls that must be counted, spans that
+# must be traced besides the command's own)
 CASES = {
     "known-n": (["pagerank", "fig1.txt", "--mode", "known-n"],
-                ["engine.step_known_n", "oracles.ls_objective"]),
+                ["engine.step_known_n", "oracles.ls_objective"], []),
     "dist": (["pagerank", "fig1.txt", "--mode", "dist"],
-             ["simulator.activate", "oracles.ls_objective"]),
+             ["simulator.activate", "oracles.ls_objective"], []),
     "temporal": (["pagerank-temporal", "seq.txt", "--snapshot-stride", "500"],
-                 ["engine.step_temporal"]),
+                 ["engine.step_temporal", "PersistentAverage.update",
+                  "PersistentAverage.wbar_rows"], []),
+    "oracle": (["oracle", "fig1.txt"], [],
+               ["matrix.build_hyperlink_matrix", "oracles.power_method",
+                "oracles.build_regression_rows", "oracles.brandes_betweenness",
+                "oracles.bfs_all_pairs"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_traced_cli_counts_per_step_calls(case, tmp_path):
-    args, names = CASES[case]
+    args, names, spans = CASES[case]
     (tmp_path / "fig1.txt").write_text(FIG1_TEXT)
     (tmp_path / "seq.txt").write_text("0 a b\n0 b a\n0 b c\n0 c b\n"
                                       "1 a c\n1 c a\n1 b c\n1 c b\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     trace = tmp_path / "trace.json"
+    budget = ["--iterations", "2000"] if args[0].startswith("pagerank") else []
     proc = subprocess.run(
-        [sys.executable, str(TRACED), str(trace), *args, "--iterations", "2000",
+        [sys.executable, str(TRACED), str(trace), *args, *budget,
          "--output-dir", str(tmp_path / "out")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -50,4 +58,6 @@ def test_traced_cli_counts_per_step_calls(case, tmp_path):
         assert len(traced["calls"].get(name, [])) > 0, f"{name} not counted"
     # main looks each command up by name, so the tracer's wrapper runs
     span = "cli.cmd_" + args[0].replace("-", "_")
-    assert span in {s["name"] for s in traced["spans"]}, f"{span} not traced"
+    traced_spans = {s["name"] for s in traced["spans"]}
+    for name in (span, *spans):
+        assert name in traced_spans, f"{name} not traced"
