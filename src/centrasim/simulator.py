@@ -5,12 +5,15 @@ in-neighbors. An activation pulls the neighbors' current values, applies
 the engine's own project to them, and pushes the changed values back; the
 activation token carries the global counter so nobody needs a clock. The
 engine's drive runs the sample/activate/trace loop, so engine and simulator
-traces agree bit for bit by construction. Every read and write is logged so
-tests can prove that an activation of s touches nothing outside s and its
-in-neighbors.
+traces agree bit for bit by construction. The locality audit stores each
+distinct footprint (actor, ids read, ids written) once and, per activation,
+only that footprint's id, one byte while there are at most 256 footprints,
+so tests can prove that an activation of s touches nothing outside s and
+its in-neighbors.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +29,12 @@ class NodeActor:
     m: float
     own_value: float = 0.0
     visit_count: int = 0
+    reads: tuple = field(init=False)   # in_nbrs as Python ints: pulled from
+    writes: tuple = field(init=False)  # (id, *reads): pushed back to
+
+    def __post_init__(self):
+        self.reads = tuple(self.in_nbrs.tolist())
+        self.writes = (self.id, *self.reads)
 
 
 @dataclass
@@ -33,22 +42,55 @@ class ActivationToken:
     k: int = 0
 
 
+# next wider unsigned item for footprint ids that outgrow the current one
+_WIDER = {"B": "H", "H": "Q"}
+
+
 @dataclass
 class LocalityAudit:
-    """(k, actor, touched) triples; reporting reads are logged separately."""
+    """Per activation, the footprint (actor, reads, writes) it touched.
 
-    events: list = field(default_factory=list)
+    footprints maps each distinct footprint to its id, so an honest run
+    stores at most one per actor. events holds every activation's footprint
+    id in record order, in the narrowest unsigned item that fits (one byte
+    up to 256 footprints). A token value k is stored only where it is not
+    the previous event's plus one: jumps maps that event's index to its k.
+    """
+
+    footprints: dict = field(default_factory=dict)
+    events: array = field(default_factory=lambda: array("B"))
+    jumps: dict = field(default_factory=dict)
+    next_k: int = 0
 
     def record(self, k, s, reads, writes):
-        self.events.append((k, s, tuple(reads), tuple(writes)))
+        key = (s, tuple(reads), tuple(writes))
+        fid = self.footprints.setdefault(key, len(self.footprints))
+        if k != self.next_k:
+            self.jumps[len(self.events)] = k
+        self.next_k = k + 1
+        try:
+            self.events.append(fid)
+        except OverflowError:
+            self.events = array(_WIDER[self.events.typecode], self.events)
+            self.events.append(fid)
 
     def violations(self, actors):
-        bad = []
-        for (k, s, reads, writes) in self.events:
+        """(k, actor, sorted foreign ids) for every event that touched an id
+        outside the actor and its in-neighbors, in record order."""
+        foreign = {}
+        for (s, reads, writes), fid in self.footprints.items():
             allowed = set(actors[s].in_nbrs.tolist()) | {s}
             touched = set(reads) | set(writes)
             if not touched <= allowed:
-                bad.append((k, s, sorted(touched - allowed)))
+                foreign[fid] = (s, sorted(touched - allowed))
+        if not foreign:
+            return []
+        bad, k = [], -1
+        for i, fid in enumerate(self.events):
+            k = self.jumps.get(i, k + 1)
+            if fid in foreign:
+                s, ids = foreign[fid]
+                bad.append((k, s, list(ids)))
         return bad
 
 
@@ -67,18 +109,17 @@ def init_nodes(g, m):
 def activate(actors, token, s, audit=None):
     """Run one activation of actor s; returns the new stepsize alpha."""
     actor = actors[s]
-    nbrs = actor.in_nbrs
+    reads, writes = actor.reads, actor.writes
     # pull phase: every in-neighbor sends its current value
-    pulled = np.array([actor.own_value] + [actors[j].own_value for j in nbrs])
+    pulled = np.array([actor.own_value, *[actors[j].own_value for j in reads]])
     actor.visit_count += 1
     alpha = actor.visit_count / (token.k + 1)
     updated = project(pulled, actor.coef, actor.m * alpha, alpha)
     # push phase: changed values return to their owners
-    actor.own_value = updated[0]
-    for pos, j in enumerate(nbrs):
-        actors[j].own_value = updated[pos + 1]
+    for j, value in zip(writes, updated.tolist()):
+        actors[j].own_value = value
     if audit is not None:
-        audit.record(token.k, s, nbrs.tolist(), [s] + nbrs.tolist())
+        audit.record(token.k, s, reads, writes)
     token.k += 1
     return alpha
 
@@ -114,14 +155,15 @@ def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
     actors = init_nodes(g, m)
     token = ActivationToken()
     audit = LocalityAudit()
-    last_estimate = {}
+    last_k = {}  # actor -> token value at its latest activation
 
     def step(s):
-        alpha = activate(actors, token, s, audit=audit)
-        last_estimate[s] = estimate_network_size(actors[s], token.k - 1)
-        return 1.0 / alpha
+        last_k[s] = token.k
+        return 1.0 / activate(actors, token, s, audit=audit)
 
     trace_rows = drive(chain.sample_next, step, lambda: assemble_vector(actors),
                        budget, trace_stride, oracle_x, rows_diag)
+    size_estimates = {s: estimate_network_size(actors[s], k)
+                      for s, k in last_k.items()}
     return SimulationRun(actors=actors, token=token, trace_rows=trace_rows,
-                         audit=audit, size_estimates=last_estimate)
+                         audit=audit, size_estimates=size_estimates)

@@ -21,6 +21,11 @@ import numpy as np
 from .errors import AssumptionError
 from .graph import DirectedGraph, is_strongly_connected, symmetrize
 
+# steps per block of uniforms the chain draws at once: each step takes
+# exactly two, so drawing 2*BLOCK_STEPS at a time yields the same stream;
+# larger blocks sample no faster and keep more floats alive
+BLOCK_STEPS = 256
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -118,6 +123,7 @@ class SurferChain:
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
+        self._pairs = iter(())  # filled on the first sample, not before
 
     @property
     def n(self):
@@ -128,15 +134,19 @@ class SurferChain:
         self.matrix = matrix
 
     def sample_next(self):
-        u = self._rng.random()
-        if self.omega > 0.0 and u < self.omega:
-            nxt = int(self._rng.random() * self.n)
+        pair = next(self._pairs, None)
+        if pair is None:
+            draws = iter(self._rng.random(2 * BLOCK_STEPS).tolist())
+            self._pairs = zip(draws, draws)
+            pair = next(self._pairs)
+        u, v = pair
+        if u < self.omega:  # u >= 0, so omega = 0 never restarts
+            nxt = int(v * self.n)
             if nxt == self.n:  # guard the open-interval edge
                 nxt = self.n - 1
         else:
             k, c = self.matrix, self.current
-            nxt = k.targets[bisect_right(k.cum, self._rng.random(),
-                                         k.indptr[c], k.indptr[c + 1])]
+            nxt = k.targets[bisect_right(k.cum, v, k.indptr[c], k.indptr[c + 1])]
         self.current = nxt
         self.step_count += 1
         return nxt

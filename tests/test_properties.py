@@ -21,8 +21,9 @@ from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa
                               column_sums)
 from centrasim.oracles import (bfs_all_pairs, build_regression_rows,  # noqa: E402
                                direct_ls_solve, rows_from_graph)
+from centrasim.simulator import LocalityAudit, init_nodes  # noqa: E402
 
-from conftest import as_scipy  # noqa: E402
+from conftest import FIG1_TEXT, as_scipy, dense50_graph  # noqa: E402
 from test_acceptance import weblike_graph  # noqa: E402
 
 
@@ -174,6 +175,86 @@ def test_persistent_average_equals_scipy_bit_for_bit(graphs, rho):
         _assert_same_csr(pa.wbar, ref)
         assert column_sums(pa.wbar).tobytes() == \
             np.asarray(ref.sum(axis=0)).ravel().tobytes()
+
+
+class ReferenceAudit:
+    """LocalityAudit as it was: every event kept whole, each one checked
+    against its actor's allowed set; the reference for the footprint audit."""
+
+    def __init__(self):
+        self.events = []
+
+    def record(self, k, s, reads, writes):
+        self.events.append((k, s, tuple(reads), tuple(writes)))
+
+    def violations(self, actors):
+        bad = []
+        for (k, s, reads, writes) in self.events:
+            allowed = set(actors[s].in_nbrs.tolist()) | {s}
+            touched = set(reads) | set(writes)
+            if not touched <= allowed:
+                bad.append((k, s, sorted(touched - allowed)))
+        return bad
+
+
+AUDIT_ACTORS = {"fig1": init_nodes(parse_edge_list(FIG1_TEXT), 0.15),
+                "dense50": init_nodes(dense50_graph(), 0.15)}
+
+
+@st.composite
+def audit_records(draw):
+    """Actors and (k, s, reads, writes) records: honest footprints, repeats of
+    earlier records and foreign ids, as tuples or lists, with k running on,
+    repeating or jumping."""
+    actors = AUDIT_ACTORS[draw(st.sampled_from(sorted(AUDIT_ACTORS)))]
+    node = st.integers(0, len(actors) - 1)
+    records, k = [], 0
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(["honest", "repeat", "foreign"]))
+        if kind == "repeat" and records:
+            _, s, reads, writes = draw(st.sampled_from(records))
+        elif kind == "foreign":
+            s = draw(node)
+            reads = draw(st.lists(node, max_size=6))
+            writes = draw(st.lists(node, max_size=6))
+        else:
+            s = draw(node)
+            reads, writes = actors[s].reads, actors[s].writes
+        if draw(st.booleans()):
+            reads, writes = list(reads), list(writes)
+        k = draw(st.sampled_from([k + 1, k + 1, k, 0]) | st.integers(-5, 10**12))
+        records.append((k, s, reads, writes))
+    return actors, records
+
+
+@settings(derandomize=True, deadline=None)
+@given(audit_records())
+def test_footprint_audit_equals_per_event_audit(case):
+    actors, records = case
+    audit, ref = LocalityAudit(), ReferenceAudit()
+    for rec in records:
+        audit.record(*rec)
+        ref.record(*rec)
+    assert len(audit.events) == len(records)
+    assert audit.violations(actors) == ref.violations(actors)
+
+
+def test_footprint_ids_widen_past_one_and_two_bytes():
+    """More than 65 536 distinct footprints: ids outgrow one byte, then two,
+    and every foreign event is still reported with its k."""
+    actors = AUDIT_ACTORS["dense50"]
+    audit, ref = LocalityAudit(), ReferenceAudit()
+    k = 0
+    for s in range(50):
+        for a in range(50):
+            for b in range(27):
+                k += 1 + (a == b)
+                rec = (k, s, (a,), (s, b))
+                audit.record(*rec)
+                ref.record(*rec)
+    assert len(audit.footprints) == 50 * 50 * 27 > 1 << 16
+    assert len(audit.events) == len(ref.events)
+    assert audit.violations(actors) == ref.violations(actors)
 
 
 # edge lists and temporal edge lists over a few labels, edge lists split

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from centrasim.engine import run
 from centrasim.oracles import direct_ls_solve, rows_from_graph
@@ -7,7 +10,7 @@ from centrasim.simulator import (ActivationToken, LocalityAudit, activate,
                                  init_nodes, run_simulation)
 from centrasim.surfer import SurferChain, build_transition_matrix
 
-from conftest import random_connected_digraph
+from conftest import dense50_graph, random_connected_digraph
 
 
 def _chain(g, omega, seed):
@@ -52,6 +55,34 @@ class TestActivation:
         audit.record(0, 4, [5, 0, 3], [4])
         bad = audit.violations(actors)
         assert bad == [(0, 4, [0, 3])]
+
+    @pytest.mark.parametrize("ids", ["reads", "writes"])
+    def test_audit_records_what_activate_touched(self, fig1, ids):
+        # node 4's only in-neighbor is 5: swap it for 0 in the tuple that
+        # activate pulls through (reads) or pushes through (writes)
+        actors = init_nodes(fig1, m=0.15)
+        setattr(actors[4], ids,
+                tuple(0 if j == 5 else j for j in getattr(actors[4], ids)))
+        token, audit = ActivationToken(), LocalityAudit()
+        activate(actors, token, 1, audit=audit)
+        activate(actors, token, 4, audit=audit)
+        assert audit.violations(actors) == [(1, 4, [0])]
+
+    def test_audit_memory_bounded_per_event(self):
+        actors = init_nodes(dense50_graph(), m=0.15)
+        order = np.random.default_rng(5).integers(0, 50, 100_000).tolist()
+        audit = LocalityAudit()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k, s in enumerate(order):
+                audit.record(k, s, actors[s].reads, actors[s].writes)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(audit.events) == 100_000
+        assert retained <= 16 * 100_000
+        assert audit.violations(actors) == []
 
     def test_size_estimate_lifecycle(self, fig1):
         actors = init_nodes(fig1, m=0.15)

@@ -5,7 +5,7 @@ import pytest
 
 from centrasim.errors import AssumptionError
 from centrasim.graph import parse_edge_list, symmetrize
-from centrasim.surfer import (SurferChain, build_transition_matrix,
+from centrasim.surfer import (BLOCK_STEPS, SurferChain, build_transition_matrix,
                               build_transition_matrix_temporal,
                               check_joint_connectivity, empirical_stationary)
 
@@ -61,6 +61,26 @@ def _reference_stream(kernel, omega, seed, steps):
         else:
             targets, cum = rows[current]
             nxt = targets[bisect_right(cum, rng.random())]
+        current = nxt
+        out.append(nxt)
+    return out
+
+
+def _one_draw_stream(kernels, omega, seed, steps):
+    """sample_next as it was, drawing one uniform at a time, over flat
+    kernels; kernels maps a step index to the kernel swapped in before it."""
+    rng = np.random.default_rng(seed)
+    tm, current, out = kernels[0], 0, []
+    for t in range(steps):
+        tm = kernels.get(t, tm)
+        u = rng.random()
+        if omega > 0.0 and u < omega:
+            nxt = int(rng.random() * tm.n)
+            if nxt == tm.n:
+                nxt = tm.n - 1
+        else:
+            lo, hi = tm.indptr[current], tm.indptr[current + 1]
+            nxt = tm.targets[bisect_right(tm.cum, rng.random(), lo, hi)]
         current = nxt
         out.append(nxt)
     return out
@@ -226,6 +246,31 @@ class TestSurferChain:
         chain = SurferChain(matrix=tm, omega=0.2, seed=0)
         freq = empirical_stationary(chain, 200_000)
         assert freq.min() > 0.1  # every component gets visited
+
+    @pytest.mark.parametrize("omega", [0.0, 0.15, 1.0])
+    def test_block_draws_equal_one_draw_stream(self, omega):
+        # ten block boundaries crossed; kernel swaps off the boundaries
+        rng = np.random.default_rng(71)
+        ga = dense50_graph()
+        gb = random_connected_digraph(rng, 50)
+        ma, mb = (build_transition_matrix(g, omega) for g in (ga, gb))
+        steps = 10 * BLOCK_STEPS + 123
+        swaps = {0: ma, BLOCK_STEPS // 2: mb, BLOCK_STEPS + 1: ma,
+                 2 * BLOCK_STEPS - 1: mb, 7 * BLOCK_STEPS + 7: ma}
+        chain = SurferChain(matrix=ma, omega=omega, seed=13)
+        got = []
+        for t in range(steps):
+            if t in swaps:
+                chain.set_matrix(swaps[t])
+            got.append(chain.sample_next())
+        assert got == _one_draw_stream(swaps, omega, 13, steps)
+        assert chain.step_count == steps
+
+    def test_no_draw_before_first_sample(self, fig1):
+        chain = SurferChain(matrix=build_transition_matrix(fig1, 0.15),
+                            omega=0.15, seed=3)
+        fresh = np.random.default_rng(3).bit_generator.state
+        assert chain._rng.bit_generator.state == fresh
 
     def test_kernel_swap_carries_state(self):
         ga, gb = _snapshots("0 a b\n0 b a\n0 b c\n0 c b\n"
