@@ -241,9 +241,9 @@ def cmd_oracle(text, cfg):
         vals = 1.0 / d.sum(axis=1)
     else:
         with np.errstate(divide="ignore"):
-            recip = 1.0 / d
-        np.fill_diagonal(recip, 0.0)
-        vals = recip.sum(axis=1)
+            np.divide(1.0, d, out=d)  # in place: d is not read again
+        np.fill_diagonal(d, 0.0)
+        vals = d.sum(axis=1)
     kind = "closeness" if reach_all else "harmonic-closeness"
     clo = normalize(CentralityVector(values=vals, kind=kind))
     return {

@@ -12,10 +12,13 @@ assembly then lays every row out as the diagonal followed by the sorted
 in-neighbor columns; the stacked Csr for diagnostics and solves is built
 on first use.
 
-Brandes betweenness and all-pairs BFS share one sweep: breadth-first search
-from a block of sources at once, one level at a time, over a flat CSR of
-out_adj. Outputs are pinned byte for byte, so the sweep keeps the float
-operations of a per-source FIFO queue loop in their order:
+Brandes betweenness and all-pairs BFS run as compiled per-source FIFO
+queue loops (``_native``) when the system C compiler can build them, and
+otherwise as one numpy sweep: breadth-first search from a block of sources
+at once, one level at a time, over a flat CSR of out_adj. The compiled
+BFS keeps only hop distances; the sweep also counts shortest paths. Outputs
+are pinned byte for byte, so both keep the float operations of the
+per-source queue loop in their order, and the two paths agree bit for bit:
 
 - within a level, nodes are queued in the order the frontier, expanded in
   queue order along sorted out_adj rows, first finds them;
@@ -251,6 +254,23 @@ def _bfs_sweep(g):
 
 def brandes_betweenness(g):
     """Exact betweenness over ordered pairs, unit edge lengths."""
+    from . import _native  # here, so that the pagerank commands never load it
+
+    lib = _native.load()
+    bc = _sweep_betweenness(g) if lib is None else _native.brandes(lib, g)
+    return CentralityVector(values=bc, kind="betweenness")
+
+
+def bfs_all_pairs(g):
+    """Hop distances d[i, j]; inf where j is unreachable from i."""
+    from . import _native
+
+    lib = _native.load()
+    return _sweep_all_pairs(g) if lib is None else _native.bfs_all_pairs(lib, g)
+
+
+def _sweep_betweenness(g):
+    """Raw betweenness vector by the numpy sweep."""
     n = g.n
     bc = np.zeros(n)
     for dist, levels, dag in _bfs_sweep(g):
@@ -272,11 +292,11 @@ def brandes_betweenness(g):
         # the sources' own dependencies (level 0) are never counted
         for row in dep.reshape(dist.shape):
             bc += row
-    return CentralityVector(values=bc, kind="betweenness")
+    return bc
 
 
-def bfs_all_pairs(g):
-    """Hop distances d[i, j]; inf where j is unreachable from i."""
+def _sweep_all_pairs(g):
+    """Hop distance matrix by the numpy sweep."""
     n = g.n
     d = np.empty((n, n))
     lo = 0

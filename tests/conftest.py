@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,23 @@ TEMPORAL_TEXT = "".join(
     [f"0 {e}\n" for e in _FIG1_EDGES]
     + [f"1 {e}\n" for e in _FIG1_EDGES + ["1 5", "2 5", "3 5"]]
     + [f"2 {e}\n" for e in _FIG1_EDGES if not e.startswith("6 ")])
+
+
+# the compiled oracle loops need the system C compiler; without one the
+# oracles run their numpy sweep, and tests of the native path skip
+HAVE_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_cache(tmp_path_factory):
+    """XDG_CACHE_HOME for the whole session, so the compiled oracle library
+    is built once into a temporary directory, for the tests and for the CLI
+    processes they start, and never into the user's own cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        path = tmp_path_factory.mktemp("xdg-cache")
+        mp.setenv("XDG_CACHE_HOME", str(path))
+        yield path
 
 
 @pytest.fixture(scope="session")

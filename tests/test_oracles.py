@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from centrasim import _native
 from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
 from centrasim.oracles import (_SWEEP_BLOCK, _assemble, build_regression_rows,
@@ -13,7 +14,7 @@ from centrasim.oracles import (_SWEEP_BLOCK, _assemble, build_regression_rows,
                                direct_ls_solve, ls_objective, LsSolution,
                                power_method, rows_from_graph)
 
-from conftest import FIG1_TEXT, as_scipy, dense50_graph, random_digraph
+from conftest import HAVE_CC, FIG1_TEXT, as_scipy, dense50_graph, random_digraph
 from test_acceptance import weblike_graph
 
 TABLE1_PAGERANK = np.array([.0727, .1122, .1986, .2963, .1131, .2072])
@@ -337,9 +338,10 @@ class TestBfsAllPairs:
         assert np.array_equal(d, d.T)
 
 
-def test_sweep_matches_per_source_loops(fig1):
-    # outputs are pinned byte for byte, so the blocked sweep must repeat
-    # the per-source queue loops' floating-point operations in their order
+def test_sweep_matches_per_source_loops(fig1, monkeypatch):
+    # outputs are pinned byte for byte, so the compiled loops and the
+    # blocked sweep must both repeat the per-source queue loops'
+    # floating-point operations in their order
     rng = np.random.default_rng(61)
     graphs = [fig1, dense50_graph(),
               weblike_graph(np.random.default_rng(101), 400)]
@@ -351,10 +353,16 @@ def test_sweep_matches_per_source_loops(fig1):
     # blocks, so a level's frontier mixes sources from both sides of a cut
     assert any(np.isinf(_loop_bfs_all_pairs(g)).any() for g in graphs[3:])
     assert any(g.n > _SWEEP_BLOCK for g in graphs[3:])
-    for g in graphs:
-        assert np.array_equal(brandes_betweenness(g).values,
-                              _loop_brandes_betweenness(g))
-        assert np.array_equal(bfs_all_pairs(g), _loop_bfs_all_pairs(g))
+    for native in (True, False) if HAVE_CC else (False,):
+        with monkeypatch.context() as mp:
+            if native:
+                assert _native.load() is not None
+            else:
+                mp.setattr(_native, "load", lambda: None)
+            for g in graphs:
+                assert np.array_equal(brandes_betweenness(g).values,
+                                      _loop_brandes_betweenness(g))
+                assert np.array_equal(bfs_all_pairs(g), _loop_bfs_all_pairs(g))
 
 
 def _loop_brandes_betweenness(g):

@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from centrasim import _native  # noqa: E402
 from centrasim.cli import KEYS, main  # noqa: E402
 from centrasim.engine import project  # noqa: E402
 from centrasim.errors import RepairError  # noqa: E402
@@ -19,11 +20,13 @@ from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
 from centrasim.levelsets import run_levelset  # noqa: E402
 from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa: E402
                               column_sums)
-from centrasim.oracles import (bfs_all_pairs, build_regression_rows,  # noqa: E402
-                               direct_ls_solve, rows_from_graph)
+from centrasim.oracles import (bfs_all_pairs, brandes_betweenness,  # noqa: E402
+                               build_regression_rows, direct_ls_solve,
+                               rows_from_graph)
 from centrasim.simulator import LocalityAudit, init_nodes  # noqa: E402
 
-from conftest import FIG1_TEXT, as_scipy, dense50_graph  # noqa: E402
+from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, \
+    random_digraph  # noqa: E402
 from test_acceptance import weblike_graph  # noqa: E402
 
 
@@ -33,6 +36,34 @@ def digraphs(draw, min_n=1, max_n=25):
     node = st.integers(0, n - 1)
     edges = draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1])))
     return DirectedGraph.from_edges(n, edges)
+
+
+@st.composite
+def oracle_digraphs(draw):
+    """Random digraphs up to 150 nodes, past one 64-source sweep block:
+    unrepaired (some nodes unreachable), with every out-degree at least one,
+    or with uniform columns for their dangling nodes."""
+    n = draw(st.integers(2, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.005, 0.02, 0.05, 0.2]))
+    repair = draw(st.sampled_from(["none", "out-degree", "uniform-column"]))
+    g = random_digraph(rng, n, p=p, repaired=repair == "out-degree")
+    return repair_dangling(g, "uniform-column") if repair == "uniform-column" else g
+
+
+@needs_cc
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(dense50_graph())
+@example(weblike_graph(np.random.default_rng(101), 400))
+@given(oracle_digraphs())
+def test_native_oracles_equal_numpy_sweep_bit_for_bit(g):
+    assert _native.load() is not None
+    native = brandes_betweenness(g).values, bfs_all_pairs(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        sweep = brandes_betweenness(g).values, bfs_all_pairs(g)
+    assert np.array_equal(native[0], sweep[0])
+    assert np.array_equal(native[1], sweep[1])
 
 
 # edge-list labels: printable ASCII without blanks and the comment sign
@@ -203,27 +234,44 @@ AUDIT_ACTORS = {"fig1": init_nodes(parse_edge_list(FIG1_TEXT), 0.15),
 
 @st.composite
 def audit_records(draw):
-    """Actors and (k, s, reads, writes) records: honest footprints, repeats of
-    earlier records and foreign ids, as tuples or lists, with k running on,
-    repeating or jumping."""
+    """Actors and (k, s, reads, writes, fresh) records: honest footprints,
+    repeats of earlier records and foreign ids, as tuples or lists, with k
+    running on, repeating or jumping. A fresh record holds lists, which the
+    test turns into new tuples at record time and frees right after; fresh
+    records come as the actor's own footprint, then (or after) one of the
+    same lengths with one foreign id, so the new tuples can take the memory,
+    and so the ids, of the freed ones."""
     actors = AUDIT_ACTORS[draw(st.sampled_from(sorted(AUDIT_ACTORS)))]
     node = st.integers(0, len(actors) - 1)
     records, k = [], 0
     for _ in range(draw(st.integers(0, 60))):
-        kind = draw(st.sampled_from(["honest", "repeat", "foreign"]))
+        kind = draw(st.sampled_from(["honest", "repeat", "foreign", "fresh"]))
+        fresh = kind == "fresh"
         if kind == "repeat" and records:
-            _, s, reads, writes = draw(st.sampled_from(records))
+            _, s, reads, writes, fresh = draw(st.sampled_from(records))
+            batch = [(s, reads, writes)]
         elif kind == "foreign":
             s = draw(node)
-            reads = draw(st.lists(node, max_size=6))
-            writes = draw(st.lists(node, max_size=6))
+            batch = [(s, draw(st.lists(node, max_size=6)),
+                      draw(st.lists(node, max_size=6)))]
         else:
             s = draw(node)
             reads, writes = actors[s].reads, actors[s].writes
-        if draw(st.booleans()):
-            reads, writes = list(reads), list(writes)
-        k = draw(st.sampled_from([k + 1, k + 1, k, 0]) | st.integers(-5, 10**12))
-        records.append((k, s, reads, writes))
+            if fresh:
+                reads, writes = list(reads), list(writes)
+            batch = [(s, reads, writes)]
+            others = [v for v in range(len(actors)) if v not in writes]
+            if fresh and reads and others:
+                bad = reads.copy()
+                bad[draw(st.integers(0, len(bad) - 1))] = draw(st.sampled_from(others))
+                batch.append((s, bad, writes))
+                if draw(st.booleans()):
+                    batch.reverse()
+        for s, reads, writes in batch:
+            if not fresh and draw(st.booleans()):
+                reads, writes = list(reads), list(writes)
+            k = draw(st.sampled_from([k + 1, k + 1, k, 0]) | st.integers(-5, 10**12))
+            records.append((k, s, reads, writes, fresh))
     return actors, records
 
 
@@ -232,10 +280,17 @@ def audit_records(draw):
 def test_footprint_audit_equals_per_event_audit(case):
     actors, records = case
     audit, ref = LocalityAudit(), ReferenceAudit()
-    for rec in records:
-        audit.record(*rec)
-        ref.record(*rec)
+    for k, s, reads, writes, fresh in records:
+        if fresh:
+            # new tuples whose memory a freed earlier pair may have held: an
+            # identity lookup must not take them for that pair
+            reads, writes = tuple(reads), tuple(writes)
+        audit.record(k, s, reads, writes)
+        # copies, so that only the audit keeps the fresh tuples alive
+        ref.record(k, s, list(reads), list(writes))
+        del reads, writes
     assert len(audit.events) == len(records)
+    assert len(audit.by_id) <= len(audit.footprints)
     assert audit.violations(actors) == ref.violations(actors)
 
 
