@@ -13,9 +13,11 @@ so concurrent processes never see half a library. A directory or library
 that is not the user's own, or that others can write, is never loaded.
 
 ``load()`` returns None when there is no compiler, the cache cannot be
-written or the library does not load; the oracles then run their numpy
-sweep, which gives the same bits. ``brandes`` and ``bfs_all_pairs`` take a
-loaded library and the graph.
+written or the library does not load; the oracles then run the same
+per-source queue loops in Python, which give the same bits at 14 to 18
+times the time (web4000: Brandes 20 s against 1.1 s, BFS 8 s against
+0.5 s). ``brandes`` and ``bfs_all_pairs`` take a loaded library and the
+graph.
 """
 from __future__ import annotations
 

@@ -1,8 +1,9 @@
 """Command-line harness: centrality tables, PageRank runs and oracles.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 violated connectivity
-assumption, 3 internal consistency failure: a PageRank oracle that does not
-converge or fails its error bound, or a failed locality audit.
+Exit codes: 0 success, 1 usage or parse failure or out of memory, 2
+violated connectivity assumption, 3 internal consistency failure: a
+PageRank oracle that does not converge or fails its error bound, or a
+failed locality audit.
 """
 from __future__ import annotations
 
@@ -314,6 +315,9 @@ def main(argv=None):
         return 3
     except (GraphFormatError, RepairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

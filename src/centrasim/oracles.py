@@ -14,18 +14,15 @@ on first use.
 
 Brandes betweenness and all-pairs BFS run as compiled per-source FIFO
 queue loops (``_native``) when the system C compiler can build them, and
-otherwise as one numpy sweep: breadth-first search from a block of sources
-at once, one level at a time, over a flat CSR of out_adj. The compiled
-BFS keeps only hop distances; the sweep also counts shortest paths. Outputs
-are pinned byte for byte, so both keep the float operations of the
-per-source queue loop in their order, and the two paths agree bit for bit:
+otherwise as the same loops in Python, which are also the reference the
+compiled loops are tested against. Outputs are pinned byte for byte, so
+both perform the same float operations in the same order and agree bit
+for bit:
 
-- within a level, nodes are queued in the order the frontier, expanded in
-  queue order along sorted out_adj rows, first finds them;
-- sigma[w] sums sigma[v] over the shortest-path edges v -> w with v in
-  queue order;
-- delta[v] adds (sigma[v]/sigma[w]) * (1 + delta[w]) with w in descending
-  queue position;
+- sigma[w] adds sigma[v] over the shortest-path edges v -> w, with v in
+  queue order and w along v's sorted out_adj row;
+- delta[v] adds (sigma[v]/sigma[w]) * (1 + delta[w]) with w in reverse
+  queue order and w's predecessors in queue order;
 - each source's own delta is dropped, and bc adds the sources' delta
   vectors for s = 0..n-1 in order.
 """
@@ -36,13 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import adjacency_csr
 from .levelsets import CentralityVector
 from .matrix import Csr, apply_google_matrix, in_links
-
-# sources per BFS sweep block: bounds the sweep's memory to a few block x
-# n arrays plus the block's shortest-path DAG
-_SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -204,60 +196,12 @@ def power_method(w, m, tol=1e-12, max_iter=10_000):
     raise RuntimeError(f"power method did not converge in {max_iter} iterations")
 
 
-def _bfs_sweep(g):
-    """Breadth-first search from every source, _SWEEP_BLOCK sources at a time.
-
-    Yields (dist, levels, dag) per block of sources lo, lo+1, ...: dist[r, v]
-    is the hop distance from source lo+r to v, -1 where v is unreachable.
-    levels[k] = (keys, sigma) lists the nodes at distance k as flat keys
-    r*n + v, in the order a per-source FIFO queue pops them, with their
-    shortest-path counts. dag[k] = (pred, at) lists the shortest-path edges
-    from level k to level k+1 in the order that queue visits them (source in
-    queue order, then its sorted out_adj row), as positions into levels[k]
-    and levels[k+1].
-    """
-    n = g.n
-    indptr, indices = adjacency_csr(g.out_adj)
-    for lo in range(0, n, _SWEEP_BLOCK):
-        rows = min(_SWEEP_BLOCK, n - lo)
-        dist = np.full(rows * n, -1, dtype=np.int64)
-        first = np.empty(rows * n, dtype=np.int64)
-        rank = np.empty(rows * n, dtype=np.int64)
-        keys = np.arange(rows) * (n + 1) + lo
-        dist[keys] = 0
-        levels, dag = [(keys, np.ones(rows))], []
-        while True:
-            row, v = np.divmod(keys, n)
-            start, count = indptr[v], indptr[v + 1] - indptr[v]
-            pred = np.repeat(np.arange(keys.size), count)
-            offset = np.repeat(start - (np.cumsum(count) - count), count)
-            found = row[pred] * n + indices[np.arange(pred.size) + offset]
-            fresh = dist[found] < 0
-            pred, found = pred[fresh], found[fresh]
-            if not found.size:
-                break
-            # a node joins the queue at the edge that first finds it
-            edge = np.arange(found.size)
-            first[found] = found.size
-            np.minimum.at(first, found, edge)
-            keys = found[first[found] == edge]
-            rank[keys] = np.arange(keys.size)
-            at = rank[found]
-            # bincount adds in edge order, as the queue loop does
-            sigma = np.bincount(at, weights=levels[-1][1][pred],
-                                minlength=keys.size)
-            dist[keys] = len(levels)
-            levels.append((keys, sigma))
-            dag.append((pred, at))
-        yield dist.reshape(rows, n), levels, dag
-
-
 def brandes_betweenness(g):
     """Exact betweenness over ordered pairs, unit edge lengths."""
     from . import _native  # here, so that the pagerank commands never load it
 
     lib = _native.load()
-    bc = _sweep_betweenness(g) if lib is None else _native.brandes(lib, g)
+    bc = _loop_betweenness(g) if lib is None else _native.brandes(lib, g)
     return CentralityVector(values=bc, kind="betweenness")
 
 
@@ -266,41 +210,51 @@ def bfs_all_pairs(g):
     from . import _native
 
     lib = _native.load()
-    return _sweep_all_pairs(g) if lib is None else _native.bfs_all_pairs(lib, g)
+    return _loop_all_pairs(g) if lib is None else _native.bfs_all_pairs(lib, g)
 
 
-def _sweep_betweenness(g):
-    """Raw betweenness vector by the numpy sweep."""
+def _loop_betweenness(g):
+    """Raw betweenness vector by the per-source queue loop in Python."""
     n = g.n
-    bc = np.zeros(n)
-    for dist, levels, dag in _bfs_sweep(g):
-        dep = np.zeros(dist.size)
-        delta = np.zeros(levels[-1][0].size)
-        for k in reversed(range(len(dag))):
-            keys, sigma = levels[k + 1]
-            dep[keys] = delta
-            # each predecessor sums its successors' shares in descending
-            # queue position, as the reversed queue loop does; tied edges
-            # share a successor, so they feed distinct predecessors
-            pred, at = dag[k]
-            order = np.argsort(-at)
-            pred, at = pred[order], at[order]
-            prev_sigma = levels[k][1]
-            delta = np.bincount(
-                pred, weights=(prev_sigma[pred] / sigma[at]) * (1.0 + delta[at]),
-                minlength=prev_sigma.size)
-        # the sources' own dependencies (level 0) are never counted
-        for row in dep.reshape(dist.shape):
-            bc += row
-    return bc
+    bc, sigma, delta = [0.0] * n, [0.0] * n, [0.0] * n
+    dist, preds = [-1] * n, [[] for _ in range(n)]
+    for s in range(n):
+        dist[s], sigma[s] = 0, 1.0
+        queue = [s]
+        for v in queue:  # the list grows as it is read: a FIFO queue
+            dw = dist[v] + 1
+            for w in g.out_adj[v]:
+                if dist[w] < 0:
+                    dist[w], sigma[w] = dw, 0.0
+                    queue.append(w)
+                if dist[w] == dw:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        # queue[0] is s, which has no predecessors and no share
+        for w in reversed(queue[1:]):
+            share = 1.0 + delta[w]
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * share
+            bc[w] += delta[w]
+        for v in queue:
+            dist[v], delta[v] = -1, 0.0
+            preds[v].clear()
+    return np.array(bc)
 
 
-def _sweep_all_pairs(g):
-    """Hop distance matrix by the numpy sweep."""
-    n = g.n
+def _loop_all_pairs(g):
+    """Hop distance matrix by the per-source queue loop in Python."""
+    n, inf = g.n, np.inf  # a local name: read once per edge
     d = np.empty((n, n))
-    lo = 0
-    for dist, _, _ in _bfs_sweep(g):
-        d[lo:lo + dist.shape[0]] = np.where(dist < 0, np.inf, dist)
-        lo += dist.shape[0]
+    for s in range(n):
+        row = [inf] * n
+        row[s] = 0.0
+        queue = [s]
+        for v in queue:
+            dw = row[v] + 1.0
+            for w in g.out_adj[v]:
+                if row[w] == inf:
+                    row[w] = dw
+                    queue.append(w)
+        d[s] = row
     return d

@@ -55,35 +55,16 @@ class LocalityAudit:
     id in record order, in the narrowest unsigned item that fits (one byte
     up to 256 footprints). A token value k is stored only where it is not
     the previous event's plus one: jumps maps that event's index to its k.
-
-    by_id finds a footprint recorded through tuples without hashing their
-    contents: it maps (s, id(reads), id(writes)) to (reads, writes, fid).
-    Each entry holds its tuples, so their ids cannot be reused while it
-    lives, and a hit must still be those very tuples. An entry is added only
-    with a new footprint, so there is at most one per footprint; lists, and
-    tuples met after their footprint, take the content key.
     """
 
     footprints: dict = field(default_factory=dict)
     events: array = field(default_factory=lambda: array("B"))
     jumps: dict = field(default_factory=dict)
     next_k: int = 0
-    by_id: dict = field(default_factory=dict)
 
     def record(self, k, s, reads, writes):
-        if type(reads) is tuple and type(writes) is tuple:
-            id_key = (s, id(reads), id(writes))
-            hit = self.by_id.get(id_key)
-            if hit is not None and hit[0] is reads and hit[1] is writes:
-                fid = hit[2]
-            else:
-                new = len(self.footprints)
-                fid = self.footprints.setdefault((s, reads, writes), new)
-                if fid == new:
-                    self.by_id[id_key] = (reads, writes, fid)
-        else:
-            key = (s, tuple(reads), tuple(writes))
-            fid = self.footprints.setdefault(key, len(self.footprints))
+        key = (s, tuple(reads), tuple(writes))
+        fid = self.footprints.setdefault(key, len(self.footprints))
         if k != self.next_k:
             self.jumps[len(self.events)] = k
         self.next_k = k + 1

@@ -1,8 +1,7 @@
-import shutil
-
 import numpy as np
 import pytest
 
+from centrasim import _native
 from centrasim.graph import DirectedGraph, parse_edge_list, repair_dangling, symmetrize
 from centrasim.graph import is_strongly_connected
 
@@ -48,8 +47,8 @@ TEMPORAL_TEXT = "".join(
 
 
 # the compiled oracle loops need the system C compiler; without one the
-# oracles run their numpy sweep, and tests of the native path skip
-HAVE_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
+# oracles run their Python queue loops, and tests of the native path skip
+HAVE_CC = _native.compiler() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 
 

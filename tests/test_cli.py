@@ -244,6 +244,21 @@ class TestPagerank:
         assert rc == 3
         assert list(out.iterdir()) == []
 
+    def test_out_of_memory_exit_1(self, fig1_file, tmp_path, monkeypatch,
+                                  capsys):
+        """An allocation that fails (the n x n BFS distances, say) ends in
+        exit 1, not a traceback, and leaves no output directory."""
+        def cmd_oracle(text, cfg):
+            raise MemoryError("Unable to allocate 119. GiB")
+
+        monkeypatch.setattr(cli, "cmd_oracle", cmd_oracle)
+        out = tmp_path / "new" / "out"
+        rc = main(["oracle", str(fig1_file), "--output-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: out of memory: Unable to allocate 119. GiB\n"
+        assert not (tmp_path / "new").exists()
+
 
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, fig1_file, tmp_path):

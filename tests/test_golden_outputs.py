@@ -8,7 +8,8 @@ nine lines that moved when the CLI's PageRank oracle became the power
 method, on top of 08e1aef: the oracle headers and four trace error digits).
 test_deterministic_outputs compares two runs of the same code; this test
 compares against the recorded bytes, so a change that moves any output in
-its last digit fails here. On a mismatch the first differing line is
+its last digit fails here. The centrality and oracle runs are checked once
+more without the compiled Brandes and BFS loops, against the same digests. On a mismatch the first differing line is
 reported, located through the recorded per-line digests.
 
 After an intended output change, re-record with
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from centrasim import _native
 from centrasim.cli import main
 
 from conftest import DANGLING_TEXT, FIG1_TEXT, TEMPORAL_TEXT
@@ -71,10 +73,9 @@ def _line_digests(data):
     return [_digest(line)[:12] for line in data.splitlines()]
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_outputs_match_recorded_bytes(name, tmp_path):
+def _check(name, got):
+    """got equals the recorded bytes; else fail at the first differing line."""
     golden = json.loads(GOLDEN.read_text())[name]
-    got = run_outputs(name, tmp_path)
     assert sorted(got) == sorted(golden)
     for fname, data in got.items():
         want = golden[fname]
@@ -87,6 +88,18 @@ def test_outputs_match_recorded_bytes(name, tmp_path):
                             f"{lines[i].decode()!r}")
         pytest.fail(f"{name}/{fname}: {len(lines)} lines, "
                     f"recorded {len(want['lines'])}")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_recorded_bytes(name, tmp_path):
+    _check(name, run_outputs(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", ["centrality", "oracle"])
+def test_python_oracle_loops_match_recorded_bytes(name, tmp_path, monkeypatch):
+    """The runs that call Brandes or BFS, without the compiled library."""
+    monkeypatch.setattr(_native, "load", lambda: None)
+    _check(name, run_outputs(name, tmp_path))
 
 
 def record(workdir):

@@ -1,5 +1,5 @@
 """The loader of the compiled oracle loops: its per-user cache, its fallback
-to the numpy sweep, and a build free of compiler warnings."""
+to the Python queue loops, and a build free of compiler warnings."""
 import os
 import stat
 import subprocess
@@ -108,7 +108,7 @@ UNREACHED_TEXT = FIG1_TEXT + "7 1\n"
 def test_no_compiler_gives_the_same_tables(tmp_path, command):
     (tmp_path / "g.txt").write_text(UNREACHED_TEXT)
     tables = []
-    for name, path in (("native", os.environ["PATH"]), ("numpy", str(tmp_path))):
+    for name, path in (("native", os.environ["PATH"]), ("python", str(tmp_path))):
         env = dict(os.environ, PYTHONPATH=str(SRC), PATH=path,
                    XDG_CACHE_HOME=str(tmp_path / f"cache-{name}"))
         proc = subprocess.run(
@@ -121,7 +121,7 @@ def test_no_compiler_gives_the_same_tables(tmp_path, command):
         tables.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     # the native run built its library; the run without a compiler did not
     assert list((tmp_path / "cache-native" / "centrasim").glob("*.so"))
-    assert not (tmp_path / "cache-numpy").exists()
+    assert not (tmp_path / "cache-python").exists()
     assert tables[0] == tables[1]
 
 

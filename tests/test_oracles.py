@@ -1,5 +1,4 @@
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -9,12 +8,13 @@ import scipy.sparse as sp
 from centrasim import _native
 from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
-from centrasim.oracles import (_SWEEP_BLOCK, _assemble, build_regression_rows,
-                               bfs_all_pairs, brandes_betweenness,
-                               direct_ls_solve, ls_objective, LsSolution,
-                               power_method, rows_from_graph)
+from centrasim.oracles import (_assemble, _loop_all_pairs, _loop_betweenness,
+                               build_regression_rows, bfs_all_pairs,
+                               brandes_betweenness, direct_ls_solve,
+                               ls_objective, LsSolution, power_method,
+                               rows_from_graph)
 
-from conftest import HAVE_CC, FIG1_TEXT, as_scipy, dense50_graph, random_digraph
+from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, random_digraph
 from test_acceptance import weblike_graph
 
 TABLE1_PAGERANK = np.array([.0727, .1122, .1986, .2963, .1131, .2072])
@@ -338,10 +338,10 @@ class TestBfsAllPairs:
         assert np.array_equal(d, d.T)
 
 
+@needs_cc
 def test_sweep_matches_per_source_loops(fig1, monkeypatch):
-    # outputs are pinned byte for byte, so the compiled loops and the
-    # blocked sweep must both repeat the per-source queue loops'
-    # floating-point operations in their order
+    # outputs are pinned byte for byte, so the compiled loops must repeat
+    # the Python queue loops' floating-point operations in their order
     rng = np.random.default_rng(61)
     graphs = [fig1, dense50_graph(),
               weblike_graph(np.random.default_rng(101), 400)]
@@ -349,68 +349,18 @@ def test_sweep_matches_per_source_loops(fig1, monkeypatch):
         n = int(rng.integers(2, 150))
         graphs.append(random_digraph(rng, n, p=float(rng.uniform(0.005, 0.08)),
                                      repaired=trial % 2 == 0))
-    # some random graphs leave nodes unreachable, and some span two source
-    # blocks, so a level's frontier mixes sources from both sides of a cut
-    assert any(np.isinf(_loop_bfs_all_pairs(g)).any() for g in graphs[3:])
-    assert any(g.n > _SWEEP_BLOCK for g in graphs[3:])
-    for native in (True, False) if HAVE_CC else (False,):
+    # some random graphs leave nodes unreachable
+    assert any(np.isinf(_loop_all_pairs(g)).any() for g in graphs[3:])
+    assert _native.load() is not None
+    for g in graphs:
+        bc, d = _loop_betweenness(g), _loop_all_pairs(g)
+        assert np.array_equal(brandes_betweenness(g).values, bc)
+        assert np.array_equal(bfs_all_pairs(g), d)
+        # without the library the oracles run those very loops
         with monkeypatch.context() as mp:
-            if native:
-                assert _native.load() is not None
-            else:
-                mp.setattr(_native, "load", lambda: None)
-            for g in graphs:
-                assert np.array_equal(brandes_betweenness(g).values,
-                                      _loop_brandes_betweenness(g))
-                assert np.array_equal(bfs_all_pairs(g), _loop_bfs_all_pairs(g))
-
-
-def _loop_brandes_betweenness(g):
-    """Per-source queue loop that brandes_betweenness replaced (returns the
-    raw vector)."""
-    n = g.n
-    bc = np.zeros(n)
-    for s in range(n):
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, -1)
-        dist[s] = 0
-        preds = [[] for _ in range(n)]
-        order = []
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            order.append(v)
-            for w_ in g.out_adj[v]:
-                if dist[w_] < 0:
-                    dist[w_] = dist[v] + 1
-                    q.append(w_)
-                if dist[w_] == dist[v] + 1:
-                    sigma[w_] += sigma[v]
-                    preds[w_].append(v)
-        delta = np.zeros(n)
-        for w_ in reversed(order):
-            for v in preds[w_]:
-                delta[v] += (sigma[v] / sigma[w_]) * (1.0 + delta[w_])
-            if w_ != s:
-                bc[w_] += delta[w_]
-    return bc
-
-
-def _loop_bfs_all_pairs(g):
-    """Per-source queue loop that bfs_all_pairs replaced."""
-    n = g.n
-    d = np.full((n, n), np.inf)
-    for s in range(n):
-        d[s, s] = 0.0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for w_ in g.out_adj[v]:
-                if not np.isfinite(d[s, w_]):
-                    d[s, w_] = d[s, v] + 1
-                    q.append(w_)
-    return d
+            mp.setattr(_native, "load", lambda: None)
+            assert np.array_equal(brandes_betweenness(g).values, bc)
+            assert np.array_equal(bfs_all_pairs(g), d)
 
 
 def _naive_betweenness(g):

@@ -20,9 +20,9 @@ from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
 from centrasim.levelsets import run_levelset  # noqa: E402
 from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa: E402
                               column_sums)
-from centrasim.oracles import (bfs_all_pairs, brandes_betweenness,  # noqa: E402
-                               build_regression_rows, direct_ls_solve,
-                               rows_from_graph)
+from centrasim.oracles import (_loop_all_pairs, _loop_betweenness,  # noqa: E402
+                               bfs_all_pairs, build_regression_rows,
+                               direct_ls_solve, rows_from_graph)
 from centrasim.simulator import LocalityAudit, init_nodes  # noqa: E402
 
 from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, \
@@ -40,9 +40,9 @@ def digraphs(draw, min_n=1, max_n=25):
 
 @st.composite
 def oracle_digraphs(draw):
-    """Random digraphs up to 150 nodes, past one 64-source sweep block:
-    unrepaired (some nodes unreachable), with every out-degree at least one,
-    or with uniform columns for their dangling nodes."""
+    """Random digraphs up to 150 nodes: unrepaired (some nodes unreachable),
+    with every out-degree at least one, or with uniform columns for their
+    dangling nodes."""
     n = draw(st.integers(2, 150))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = draw(st.sampled_from([0.005, 0.02, 0.05, 0.2]))
@@ -56,14 +56,11 @@ def oracle_digraphs(draw):
 @example(dense50_graph())
 @example(weblike_graph(np.random.default_rng(101), 400))
 @given(oracle_digraphs())
-def test_native_oracles_equal_numpy_sweep_bit_for_bit(g):
-    assert _native.load() is not None
-    native = brandes_betweenness(g).values, bfs_all_pairs(g)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "load", lambda: None)
-        sweep = brandes_betweenness(g).values, bfs_all_pairs(g)
-    assert np.array_equal(native[0], sweep[0])
-    assert np.array_equal(native[1], sweep[1])
+def test_native_oracles_equal_python_loops_bit_for_bit(g):
+    lib = _native.load()
+    assert lib is not None
+    assert np.array_equal(_native.brandes(lib, g), _loop_betweenness(g))
+    assert np.array_equal(_native.bfs_all_pairs(lib, g), _loop_all_pairs(g))
 
 
 # edge-list labels: printable ASCII without blanks and the comment sign
@@ -290,7 +287,6 @@ def test_footprint_audit_equals_per_event_audit(case):
         ref.record(k, s, list(reads), list(writes))
         del reads, writes
     assert len(audit.events) == len(records)
-    assert len(audit.by_id) <= len(audit.footprints)
     assert audit.violations(actors) == ref.violations(actors)
 
 
