@@ -31,8 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import adjacency_csr
-
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -262,13 +260,12 @@ def _csr_bufs(n, indptr, indices):
 def brandes(lib, g):
     """Raw betweenness over ordered pairs of g, computed by the library."""
     n = g.n
-    out_ptr, out_idx = adjacency_csr(g.out_adj)
-    out_bufs = _csr_bufs(n, out_ptr, out_idx)
-    # row offsets of the in-CSR: each node's predecessor slots
-    in_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(out_idx, minlength=n), out=in_ptr[1:])
+    out_bufs = _csr_bufs(n, g.out_ptr, g.out_idx)
+    if not np.array_equal(np.diff(g.in_ptr), np.bincount(g.out_idx, minlength=n)):
+        raise ValueError("in-CSR rows do not hold each node's in-degree")
     bc = np.zeros(n)
-    rc = lib.centrasim_brandes(n, *out_bufs, _buf(in_ptr, np.int64, n + 1),
+    # the in-CSR's row offsets are each node's predecessor slots
+    rc = lib.centrasim_brandes(n, *out_bufs, _buf(g.in_ptr, np.int64, n + 1),
                                _buf(bc, np.float64, n))
     if rc:
         raise MemoryError("Brandes loop could not allocate its arrays")
@@ -278,9 +275,8 @@ def brandes(lib, g):
 def bfs_all_pairs(lib, g):
     """Hop distances of g, inf where unreachable, computed by the library."""
     n = g.n
-    out_ptr, out_idx = adjacency_csr(g.out_adj)
     d = np.empty((n, n))
-    rc = lib.centrasim_bfs(n, *_csr_bufs(n, out_ptr, out_idx),
+    rc = lib.centrasim_bfs(n, *_csr_bufs(n, g.out_ptr, g.out_idx),
                            _buf(d, np.float64, n * n))
     if rc:
         raise MemoryError("BFS loop could not allocate its queue")

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import engine, simulator, surfer, tables
 from .errors import AssumptionError, ConsistencyError, GraphFormatError, RepairError
-from .graph import parse_edge_list, parse_temporal_edge_list, repair_dangling, \
-    validate_oriented_tree
+from .graph import map_distinct, parse_edge_list, parse_temporal_edge_list, \
+    repair_dangling, validate_oriented_tree
 from .levelsets import CentralityVector, closeness_centrality, \
     degree_centrality, normalize, run_levelset, tree_betweenness
 from .matrix import PersistentAverage, build_hyperlink_matrix, column_sums
@@ -191,15 +191,19 @@ def cmd_pagerank(text, cfg):
 
 def cmd_pagerank_temporal(text, cfg):
     seq = parse_temporal_edge_list(text)
-    graphs = []
+    # equal snapshots share one repaired graph, matrix and kernel
+    repaired = {}
     for t, g in seq.snapshots:
+        if g in repaired:
+            continue
         try:
-            graphs.append(repair_dangling(g, cfg["dangling"]))
+            repaired[g] = repair_dangling(g, cfg["dangling"])
         except RepairError as exc:
             raise RepairError(f"snapshot at time {t}: {exc} "
                               "(--dangling uniform-column repairs it)") from exc
+    graphs = [repaired[g] for g in seq.graphs()]
     m = cfg["damping"]
-    mats = [build_hyperlink_matrix(g) for g in graphs]
+    mats = map_distinct(build_hyperlink_matrix, graphs)
     kernels = surfer.build_transition_matrix_temporal(
         graphs, cfg["omega"], joint_window=cfg["joint_window"])
     chain = surfer.SurferChain(matrix=kernels[0], omega=cfg["omega"],

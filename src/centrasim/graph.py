@@ -1,56 +1,122 @@
-"""Directed graphs, edge-list parsing, dangling repair and structure checks."""
+"""Directed graphs, edge-list parsing, dangling repair and structure checks.
+
+A graph is its edge keys ``src*n + dst``, sorted and without repeats. The
+out- and in-adjacency are CSR arrays read off the keys on first use, and
+symmetrize, repair and the structure checks work on key arrays too: past
+the parser's per-line tokenizer, building a graph runs no Python loop over
+its edges.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import GraphFormatError, NotOrientedTreeError, RepairError
+from .errors import GraphFormatError, RepairError
+from .matrix import _sorted_unique
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """Simple directed graph with dense node indices 0..n-1.
 
+    ``keys`` holds each edge (u, v) as u*n + v, sorted and without repeats.
     ``labels`` maps an index back to the original string identifier.
     ``uniform_columns`` marks nodes whose hyperlink-matrix column is to be
     filled uniformly off-diagonal (the uniform-column dangling repair).
+    Graphs are equal when n, keys, labels and uniform columns are.
+
+    ``out_ptr``/``out_idx`` list row u's out-neighbors as
+    out_idx[out_ptr[u]:out_ptr[u+1]], sorted; ``in_ptr``/``in_idx`` the
+    in-neighbors likewise (int64 arrays, built on first read). ``out_adj``,
+    ``in_adj`` and ``edges`` are the same as tuples and a frozenset, for the
+    Python loops that read them.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
-    out_adj: tuple[tuple[int, ...], ...]
-    in_adj: tuple[tuple[int, ...], ...]
+    keys: np.ndarray
     labels: tuple[str, ...]
     uniform_columns: frozenset[int] = field(default_factory=frozenset)
 
     @staticmethod
     def from_edges(n, edges, labels=None, uniform_columns=()):
-        edges = set(edges)
-        for (u, v) in edges:
-            if u == v:
-                raise GraphFormatError(f"self-loop on node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
-        out_adj = [[] for _ in range(n)]
-        in_adj = [[] for _ in range(n)]
-        for (u, v) in edges:
-            out_adj[u].append(v)
-            in_adj[v].append(u)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        loops = pairs[pairs[:, 0] == pairs[:, 1]]
+        if loops.size:
+            raise GraphFormatError(f"self-loop on node {loops[0, 0]}")
+        outside = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)]
+        if outside.size:
+            u, v = outside[0].tolist()
+            raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
         if labels is None:
             labels = tuple(str(i) for i in range(n))
-        return DirectedGraph(
-            n=n,
-            edges=frozenset(edges),
-            out_adj=tuple(tuple(sorted(a)) for a in out_adj),
-            in_adj=tuple(tuple(sorted(a)) for a in in_adj),
-            labels=tuple(labels),
-            uniform_columns=frozenset(uniform_columns),
-        )
+        return DirectedGraph(n=n, keys=_sorted_unique(pairs[:, 0] * n + pairs[:, 1]),
+                             labels=tuple(labels),
+                             uniform_columns=frozenset(uniform_columns))
+
+    @cached_property
+    def _content(self):
+        return (self.n, self.keys.tobytes(), self.labels, self.uniform_columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, DirectedGraph):
+            return NotImplemented
+        return self._content == other._content
+
+    def __hash__(self):
+        return hash(self._content)
+
+    @cached_property
+    def _out(self):
+        return _csr(self.n, self.keys)
+
+    @cached_property
+    def _in(self):
+        return _csr(self.n, np.sort(_reversed(self.keys, self.n)))
+
+    out_ptr = property(lambda self: self._out[0])
+    out_idx = property(lambda self: self._out[1])
+    in_ptr = property(lambda self: self._in[0])
+    in_idx = property(lambda self: self._in[1])
+
+    @cached_property
+    def out_adj(self):
+        return _rows(*self._out)
+
+    @cached_property
+    def in_adj(self):
+        return _rows(*self._in)
+
+    @cached_property
+    def edges(self):
+        return frozenset(_pairs(self))
+
+    def out_degrees(self):
+        return np.diff(self.out_ptr)
 
     def dangling_nodes(self):
-        return [i for i in range(self.n)
-                if not self.out_adj[i] and i not in self.uniform_columns]
+        return [i for i in np.flatnonzero(self.out_degrees() == 0).tolist()
+                if i not in self.uniform_columns]
+
+
+def _reversed(keys, n):
+    """Keys of the reversed edges, unsorted."""
+    src, dst = np.divmod(keys, n)
+    return dst * n + src
+
+
+def _csr(n, keys):
+    """(indptr, indices) of sorted unique keys u*n + v: row u lists its v."""
+    rows, cols = np.divmod(keys, n)
+    return np.searchsorted(rows, np.arange(n + 1)), cols
+
+
+def _rows(indptr, indices):
+    """The CSR's rows as tuples of Python ints."""
+    idx = indices.tolist()
+    ptr = indptr.tolist()
+    return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
 
 
 @dataclass(frozen=True)
@@ -64,12 +130,14 @@ class TemporalGraphSequence:
         return [g for (_, g) in self.snapshots]
 
 
-def adjacency_csr(adj):
-    """Flat CSR (indptr, indices) of adjacency lists, int64, rows in order."""
-    indptr = np.cumsum([0, *map(len, adj)], dtype=np.int64)
-    indices = np.fromiter((w for a in adj for w in a), dtype=np.int64,
-                          count=indptr[-1])
-    return indptr, indices
+def map_distinct(fn, items):
+    """[fn(x) for x in items], calling fn once per distinct item: equal
+    items share one result object."""
+    memo = {}
+    for x in items:
+        if x not in memo:
+            memo[x] = fn(x)
+    return [memo[x] for x in items]
 
 
 def _tokenize(text):
@@ -82,32 +150,32 @@ def _tokenize(text):
         yield lineno, line.split()
 
 
+def _keys(n, srcs, dsts):
+    """Sorted unique keys of the edges srcs[i] -> dsts[i]."""
+    return _sorted_unique(np.array(srcs, dtype=np.int64) * n
+                          + np.array(dsts, dtype=np.int64))
+
+
 def parse_edge_list(text):
     """Parse `src dst` label pairs into a DirectedGraph.
 
     Duplicate edges collapse silently; a self-loop or an input without
-    edges is an error.
+    edges is an error. Nodes are numbered in order of first appearance.
     """
     index = {}
-    labels = []
-    edges = set()
-
-    def node(label):
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
+    srcs, dsts = [], []
     for lineno, parts in _tokenize(text):
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'src dst', got {parts!r}")
         src, dst = parts
         if src == dst:
             raise GraphFormatError(f"line {lineno}: self-loop on node {src!r}")
-        edges.add((node(src), node(dst)))
-    if not edges:
+        srcs.append(index.setdefault(src, len(index)))
+        dsts.append(index.setdefault(dst, len(index)))
+    if not srcs:
         raise GraphFormatError("no edges in edge list")
-    return DirectedGraph.from_edges(len(labels), edges, labels=labels)
+    n = len(index)
+    return DirectedGraph(n=n, keys=_keys(n, srcs, dsts), labels=tuple(index))
 
 
 def parse_temporal_edge_list(text):
@@ -117,16 +185,8 @@ def parse_temporal_edge_list(text):
     whole file and is shared by every snapshot.
     """
     index = {}
-    labels = []
-    raw_snaps = []  # list of (time, [(u, v), ...])
+    raw_snaps = []  # list of (time, [src, ...], [dst, ...])
     last_time = None
-
-    def node(label):
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
     for lineno, parts in _tokenize(text):
         if len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'time src dst', got {parts!r}")
@@ -142,29 +202,36 @@ def parse_temporal_edge_list(text):
         if src == dst:
             raise GraphFormatError(f"line {lineno}: self-loop on node {src!r}")
         if last_time is None or t > last_time:
-            raw_snaps.append((t, set()))
+            raw_snaps.append((t, [], []))
             last_time = t
-        raw_snaps[-1][1].add((node(src), node(dst)))
+        raw_snaps[-1][1].append(index.setdefault(src, len(index)))
+        raw_snaps[-1][2].append(index.setdefault(dst, len(index)))
 
     if not raw_snaps:
         raise GraphFormatError("no snapshots in temporal edge list")
-    n = len(labels)
+    n, labels = len(index), tuple(index)
     snapshots = tuple(
-        (t, DirectedGraph.from_edges(n, es, labels=labels)) for (t, es) in raw_snaps
+        (t, DirectedGraph(n=n, keys=_keys(n, srcs, dsts), labels=labels))
+        for (t, srcs, dsts) in raw_snaps
     )
     return TemporalGraphSequence(n=n, snapshots=snapshots)
 
 
+def _pairs(g):
+    """The edges of g as (src, dst) pairs of Python ints, in key order."""
+    return zip(*(a.tolist() for a in np.divmod(g.keys, g.n)))
+
+
 def serialize_edge_list(g):
     """Inverse of parse_edge_list (up to edge ordering)."""
-    lines = [f"{g.labels[u]} {g.labels[v]}" for (u, v) in sorted(g.edges)]
+    lines = [f"{g.labels[u]} {g.labels[v]}" for (u, v) in _pairs(g)]
     return "\n".join(lines) + "\n"
 
 
 def serialize_temporal_edge_list(seq):
     lines = []
     for (t, g) in seq.snapshots:
-        for (u, v) in sorted(g.edges):
+        for (u, v) in _pairs(g):
             lines.append(f"{t} {g.labels[u]} {g.labels[v]}")
     return "\n".join(lines) + "\n"
 
@@ -174,59 +241,72 @@ def repair_dangling(g, policy="backlink"):
 
     `backlink` adds a reverse edge from each dangling node to each of its
     in-neighbors; `uniform-column` marks the node so that its hyperlink
-    column is spread uniformly over all other nodes.
+    column is spread uniformly over all other nodes. A graph without
+    dangling nodes comes back as it is.
     """
     dangling = g.dangling_nodes()
     if not dangling:
         return g
     if policy == "backlink":
-        new_edges = set(g.edges)
+        in_deg = np.diff(g.in_ptr)
         for d in dangling:
-            if not g.in_adj[d]:
+            if not in_deg[d]:
                 raise RepairError(
                     f"node {g.labels[d]!r} is dangling with no in-neighbors; "
                     "backlink repair impossible"
                 )
-            for u in g.in_adj[d]:
-                new_edges.add((d, u))
-        return DirectedGraph.from_edges(
-            g.n, new_edges, labels=g.labels, uniform_columns=g.uniform_columns
-        )
+        is_dangling = np.zeros(g.n, dtype=bool)
+        is_dangling[dangling] = True
+        into = g.keys[is_dangling[g.keys % g.n]]
+        keys = _sorted_unique(np.concatenate((g.keys, _reversed(into, g.n))))
+        return DirectedGraph(n=g.n, keys=keys, labels=g.labels,
+                             uniform_columns=g.uniform_columns)
     if policy == "uniform-column":
         if g.n < 2:
             raise RepairError("uniform-column repair needs at least two nodes")
-        return DirectedGraph.from_edges(
-            g.n, g.edges, labels=g.labels,
-            uniform_columns=g.uniform_columns | set(dangling),
-        )
+        return DirectedGraph(n=g.n, keys=g.keys, labels=g.labels,
+                             uniform_columns=g.uniform_columns | set(dangling))
     raise ValueError(f"unknown dangling policy {policy!r}")
 
 
+def symmetric_keys(keys, n):
+    """Sorted unique keys of the edges and their reversals."""
+    return _sorted_unique(np.concatenate((keys, _reversed(keys, n))))
+
+
 def symmetrize(g):
-    """Close the edge set under reversal (communication graph of the surfer)."""
-    new_edges = set(g.edges) | {(v, u) for (u, v) in g.edges}
-    if new_edges == set(g.edges):
+    """Close the edge set under reversal (communication graph of the surfer).
+
+    A graph that is already closed comes back as it is; otherwise the
+    result carries no uniform columns.
+    """
+    keys = symmetric_keys(g.keys, g.n)
+    if keys.size == g.keys.size:
         return g
-    return DirectedGraph.from_edges(g.n, new_edges, labels=g.labels)
+    return DirectedGraph(n=g.n, keys=keys, labels=g.labels)
 
 
 def is_strongly_connected(g):
     if g.n <= 1:
         return True
-    return (len(_reachable(g.out_adj, 0)) == g.n
-            and len(_reachable(g.in_adj, 0)) == g.n)
+    return (_reach_all(g.out_ptr, g.out_idx)
+            and _reach_all(g.in_ptr, g.in_idx))
 
 
-def _reachable(adj, start):
-    seen = {start}
-    stack = [start]
+def _reach_all(indptr, indices):
+    """True if node 0 reaches every row of the CSR."""
+    ptr, idx = indptr.tolist(), indices.tolist()
+    seen = [False] * (len(ptr) - 1)
+    seen[0] = True
+    stack, found = [0], 1
     while stack:
         u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
+        for v in idx[ptr[u]:ptr[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                found += 1
                 stack.append(v)
-    return seen
+    return found == len(seen)
 
 
 def validate_oriented_tree(g):
@@ -236,26 +316,27 @@ def validate_oriented_tree(g):
     labels forming an undirected cycle.
     """
     # An antiparallel pair is two distinct undirected walks between the
-    # same endpoints, hence a cycle.
-    for (u, v) in g.edges:
-        if u < v and (v, u) in g.edges:
-            return False, [g.labels[u], g.labels[v]]
+    # same endpoints, hence a cycle; report the one of smallest key.
+    n, keys = g.n, g.keys
+    rev = _reversed(keys, n)
+    pos = np.minimum(np.searchsorted(keys, rev), keys.size - 1)
+    anti = keys[(keys < rev) & (keys[pos] == rev)]
+    if anti.size:
+        u, v = divmod(int(anti[0]), n)
+        return False, [g.labels[u], g.labels[v]]
 
-    und = [set() for _ in range(g.n)]
-    for (u, v) in g.edges:
-        und[u].add(v)
-        und[v].add(u)
-
-    visited = [False] * g.n
-    parent = [-1] * g.n
-    for root in range(g.n):
+    und_ptr, und_idx = _csr(n, symmetric_keys(keys, n))
+    ptr, idx = und_ptr.tolist(), und_idx.tolist()
+    visited = [False] * n
+    parent = [-1] * n
+    for root in range(n):
         if visited[root]:
             continue
         visited[root] = True
         stack = [root]
         while stack:
             u = stack.pop()
-            for v in sorted(und[u]):
+            for v in idx[ptr[u]:ptr[u + 1]]:
                 if not visited[v]:
                     visited[v] = True
                     parent[v] = u

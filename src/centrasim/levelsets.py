@@ -12,8 +12,8 @@ round-t set is one bit-packed row, and a round is one OR-reduction for all
 nodes: row i ORs only the round-t rows of i's neighbors, which is what
 makes the scheme message-local, then drops what it already holds. The
 optional audit logs every read so tests can verify that claim. L runs its
-own rounds over in_adj rather than reading the transpose of R, because
-each node builds its L sets from its in-neighbors' messages.
+own rounds over the in-adjacency rather than reading the transpose of R,
+because each node builds its L sets from its in-neighbors' messages.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotOrientedTreeError
-from .graph import adjacency_csr, validate_oriented_tree
+from .graph import validate_oriented_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +74,10 @@ class MessageAudit:
         self.per_round_totals[t - 1] += indices.size
 
 
-def _distances(adj_lists, audit, kind):
-    """Hop distances by synchronous rounds over one adjacency direction."""
-    n = len(adj_lists)
-    indptr, indices = adjacency_csr(adj_lists)
+def _distances(indptr, indices, audit, kind):
+    """Hop distances by synchronous rounds over one adjacency direction,
+    given as CSR arrays."""
+    n = indptr.size - 1
     # reduceat ORs the segments between consecutive starts, so rows with no
     # neighbors are left out and stay empty
     readers = np.flatnonzero(np.diff(indptr))
@@ -108,8 +108,8 @@ def _distances(adj_lists, audit, kind):
 
 def run_levelset(g, audit=None):
     """Run the synchronous partition rounds until no node learns anything new."""
-    return LevelSets(fwd=_distances(g.out_adj, audit, "R"),
-                     bwd=_distances(g.in_adj, audit, "L"))
+    return LevelSets(fwd=_distances(g.out_ptr, g.out_idx, audit, "R"),
+                     bwd=_distances(g.in_ptr, g.in_idx, audit, "L"))
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def normalize(v):
 
 
 def degree_centrality(g):
-    vals = np.array([len(g.out_adj[i]) for i in range(g.n)], dtype=float)
+    vals = g.out_degrees().astype(float)
     return CentralityVector(values=vals, kind="degree")
 
 

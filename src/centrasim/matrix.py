@@ -12,8 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import adjacency_csr
-
 COLUMN_SUM_TOL = 1e-12
 
 
@@ -64,14 +62,13 @@ def _sorted_unique(keys):
 def in_links(g):
     """(rows, cols, outdeg): W[rows, cols] = 1/outdeg[cols], sorted by row,
     then column; a uniform column counts n-1 out-links."""
-    n = g.n
-    indptr, cols = adjacency_csr(g.in_adj)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    n, cols = g.n, g.in_idx
+    rows = np.repeat(np.arange(n), np.diff(g.in_ptr))
     uniform = np.array(sorted(g.uniform_columns), dtype=np.int64)
     ui = np.repeat(np.arange(n), uniform.size)
     uj = np.tile(uniform, n)
     keys = _sorted_unique(np.concatenate((rows * n + cols, (ui * n + uj)[ui != uj])))
-    outdeg = np.array([len(a) for a in g.out_adj], dtype=np.int64)
+    outdeg = g.out_degrees()
     outdeg[uniform] = n - 1
     return keys // n, keys % n, outdeg
 

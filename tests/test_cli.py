@@ -439,6 +439,23 @@ class TestTemporal:
                    "--output-dir", str(tmp_path)])
         assert rc == 0
 
+    def test_repeated_windows_are_each_checked(self, tmp_path, capsys):
+        """Snapshots A, A, B, B at window 2: A alone and A with B are
+        connected, B alone is not, so the last window [2, 4) fails although
+        every snapshot in it was seen in a window that passed."""
+        a = ["a b", "b c", "c d", "d a"]
+        b = ["a b", "b a", "c d", "d c"]
+        temporal = tmp_path / "seq.txt"
+        temporal.write_text("".join(f"{t} {e}\n" for t, edges in
+                                    enumerate([a, a, b, b]) for e in edges))
+        out = tmp_path / "out"
+        rc = main(["pagerank-temporal", str(temporal), "--omega", "0",
+                   "--joint-window", "2", "--iterations", "100",
+                   "--output-dir", str(out)])
+        assert rc == 2
+        assert "snapshots [2, 4)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracle:
     def test_fixture_tables(self, fig1_file, tmp_path):

@@ -41,6 +41,13 @@ class TestParseEdgeList:
         with pytest.raises(GraphFormatError, match="no edges"):
             parse_edge_list("# header only\n\n")
 
+    def test_from_edges_rejects_loops_and_foreign_nodes(self):
+        with pytest.raises(GraphFormatError, match="self-loop on node 2"):
+            DirectedGraph.from_edges(3, {(0, 1), (2, 2)})
+        for bad in ((0, 3), (-1, 0)):
+            with pytest.raises(GraphFormatError, match="out of range"):
+                DirectedGraph.from_edges(3, {(0, 1), bad})
+
     def test_round_trip(self, fig1):
         again = parse_edge_list(serialize_edge_list(fig1))
         def labeled(g):

@@ -1,6 +1,8 @@
 """The loader of the compiled oracle loops: its per-user cache, its fallback
 to the Python queue loops, and a build free of compiler warnings."""
 import os
+import pickle
+import shutil
 import stat
 import subprocess
 import sys
@@ -11,9 +13,10 @@ import pytest
 
 import centrasim
 from centrasim import _native
-from centrasim.graph import parse_edge_list
+from centrasim.graph import DirectedGraph, parse_edge_list
 
-from conftest import FIG1_TEXT, needs_cc
+from conftest import FIG1_TEXT, dense50_graph, needs_cc, random_digraph
+from test_acceptance import weblike_graph
 
 SRC = Path(centrasim.__file__).resolve().parents[1]
 
@@ -144,16 +147,19 @@ def test_buffers_are_checked_before_the_call(bad):
         _native._buf(bad, np.int64, 4)
 
 
+def _patch_csr(monkeypatch, name, change):
+    """Every graph's CSR array `name` passed through change."""
+    real = getattr(DirectedGraph, name)
+    monkeypatch.setattr(DirectedGraph, name,
+                        property(lambda g: change(real.fget(g))))
+
+
 @needs_cc
 def test_wrong_csr_dtype_never_reaches_the_library(monkeypatch):
     lib = _native.load()
     g = parse_edge_list(FIG1_TEXT)
-
-    def int32_csr(adj):
-        indptr = np.cumsum([0, *map(len, adj)]).astype(np.int32)
-        return indptr, np.array([w for a in adj for w in a], dtype=np.int32)
-
-    monkeypatch.setattr(_native, "adjacency_csr", int32_csr)
+    for name in ("out_ptr", "out_idx"):
+        _patch_csr(monkeypatch, name, lambda a: a.astype(np.int32))
     with pytest.raises(TypeError):
         _native.brandes(lib, g)
     with pytest.raises(TypeError):
@@ -164,10 +170,84 @@ def test_wrong_csr_dtype_never_reaches_the_library(monkeypatch):
 def test_column_outside_the_graph_never_reaches_the_library(monkeypatch):
     lib = _native.load()
     g = parse_edge_list(FIG1_TEXT)
-    real = _native.adjacency_csr
-    monkeypatch.setattr(_native, "adjacency_csr",
-                        lambda adj: (real(adj)[0], real(adj)[1] + g.n))
+    _patch_csr(monkeypatch, "out_idx", lambda a: a + g.n)
     with pytest.raises(ValueError):
         _native.brandes(lib, g)
     with pytest.raises(ValueError):
         _native.bfs_all_pairs(lib, g)
+
+
+@needs_cc
+def test_predecessor_slots_short_of_an_in_degree_never_reach_the_library(
+        monkeypatch):
+    lib = _native.load()
+    g = parse_edge_list(FIG1_TEXT)
+    # node 1 (index 0) has in-degree 1: its slot goes to node 2
+    _patch_csr(monkeypatch, "in_ptr", lambda a: np.concatenate(([0, 0], a[2:])))
+    with pytest.raises(ValueError):
+        _native.brandes(lib, g)
+
+
+# the child loads the sanitized library and checks both loops on every
+# graph against the Python queue loops
+ASAN_CHILD = r"""
+import pickle
+import sys
+
+import numpy as np
+
+from centrasim import _native
+from centrasim.oracles import _loop_all_pairs, _loop_betweenness
+
+lib = _native._open(sys.argv[1])
+with open(sys.argv[2], "rb") as fh:
+    graphs = pickle.load(fh)
+for name, g in graphs:
+    assert np.array_equal(_native.brandes(lib, g), _loop_betweenness(g)), name
+    assert np.array_equal(_native.bfs_all_pairs(lib, g), _loop_all_pairs(g)), name
+print(len(graphs))
+"""
+
+
+def _sanitizer_graphs():
+    rng = np.random.default_rng(83)
+    graphs = [("fig1", parse_edge_list(FIG1_TEXT)),
+              ("dense50", dense50_graph()),
+              ("web400", weblike_graph(np.random.default_rng(101), 400)),
+              ("one node", DirectedGraph.from_edges(1, ())),
+              ("2-cycle", parse_edge_list("a b\nb a")),
+              ("unreached", parse_edge_list(UNREACHED_TEXT))]
+    # strongly connected ones too: only a source that reaches every node
+    # fills the queue
+    for k in range(50):
+        n = int(rng.integers(2, 60))
+        g = random_digraph(rng, n, p=[0.03, 0.1, 0.3][k % 3], repaired=k % 2 == 0)
+        graphs.append((f"random{k}", g))
+    return graphs
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_loops_run_clean_under_address_and_undefined_sanitizers(tmp_path):
+    gcc = shutil.which("gcc")
+    runtime = subprocess.run([gcc, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip("gcc has no AddressSanitizer runtime")
+    lib = tmp_path / "libasan-centrasim.so"
+    proc = subprocess.run(
+        [gcc, "-O1", "-g", "-fsanitize=address,undefined",
+         "-fno-omit-frame-pointer", "-ffp-contract=off", "-shared", "-fPIC",
+         "-x", "c", "-", "-o", str(lib)],
+        input=_native.SOURCE, text=True, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    graphs = _sanitizer_graphs()
+    (tmp_path / "graphs.pkl").write_bytes(pickle.dumps(graphs))
+    env = dict(os.environ, PYTHONPATH=str(SRC), LD_PRELOAD=runtime,
+               ASAN_OPTIONS="detect_leaks=0")
+    proc = subprocess.run(
+        [sys.executable, "-c", ASAN_CHILD, str(lib), str(tmp_path / "graphs.pkl")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, \
+        proc.stderr
+    assert proc.stdout.split() == [str(len(graphs))]

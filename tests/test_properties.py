@@ -16,7 +16,7 @@ from centrasim.errors import RepairError  # noqa: E402
 from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
                              parse_edge_list, parse_temporal_edge_list,
                              repair_dangling, serialize_edge_list,
-                             serialize_temporal_edge_list)
+                             serialize_temporal_edge_list, symmetrize)
 from centrasim.levelsets import run_levelset  # noqa: E402
 from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa: E402
                               column_sums)
@@ -24,10 +24,12 @@ from centrasim.oracles import (_loop_all_pairs, _loop_betweenness,  # noqa: E402
                                bfs_all_pairs, build_regression_rows,
                                direct_ls_solve, rows_from_graph)
 from centrasim.simulator import LocalityAudit, init_nodes  # noqa: E402
+from centrasim.surfer import _metropolis_hastings  # noqa: E402
 
 from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, \
     random_digraph  # noqa: E402
 from test_acceptance import weblike_graph  # noqa: E402
+from test_surfer import assert_kernel_equals_reference  # noqa: E402
 
 
 @st.composite
@@ -104,6 +106,67 @@ def test_temporal_parse_serialize_round_trip(snaps, data):
         assert _labeled_edges(a) == _labeled_edges(b)
     assert set(back.snapshots[0][1].labels) == \
         {g.labels[u] for g in snaps for e in g.edges for u in e}
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(1, 25))
+    node = st.integers(0, n - 1)
+    return n, draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1])))
+
+
+def _sorted_rows(n, pairs):
+    """CSR (indptr, indices) lists of the sorted adjacency lists of pairs."""
+    rows = [sorted(v for (u, v) in pairs if u == i) for i in range(n)]
+    return np.cumsum([0] + [len(r) for r in rows]).tolist(), sum(rows, [])
+
+
+@settings(derandomize=True, deadline=None)
+@given(edge_sets())
+def test_graph_arrays_equal_sorted_adjacency_lists(case):
+    n, edges = case
+    g = DirectedGraph.from_edges(n, edges)
+    assert g.edges == edges
+    for ptr, idx, pairs in ((g.out_ptr, g.out_idx, edges),
+                            (g.in_ptr, g.in_idx, {(v, u) for (u, v) in edges})):
+        assert ptr.dtype == idx.dtype == np.int64
+        assert (ptr.tolist(), idx.tolist()) == _sorted_rows(n, pairs)
+    closed = edges | {(v, u) for (u, v) in edges}
+    sym = symmetrize(g)
+    assert sym.edges == closed
+    assert (sym is g) == (closed == edges)
+    assert symmetrize(sym) is sym
+    dangling = [i for i in range(n) if not any(u == i for (u, _) in edges)]
+    if not dangling:
+        assert repair_dangling(g, "backlink") is g
+        assert repair_dangling(g, "uniform-column") is g
+    elif all(any(v == d for (_, v) in edges) for d in dangling):
+        r = repair_dangling(g, "backlink")
+        assert r.edges == edges | {(d, u) for d in dangling
+                                   for (u, v) in edges if v == d}
+        assert repair_dangling(r, "backlink") is r
+
+
+@st.composite
+def spread_digraphs(draw):
+    """Random digraphs up to 300 nodes whose degrees spread wide: hubs
+    linked with half or most of the nodes over a sparse random rest, and
+    nodes without any edge."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.005, 0.03, 0.2]))
+    for h in rng.choice(n, size=draw(st.integers(0, min(n, 4))), replace=False):
+        mask[h] |= rng.random(n) < draw(st.sampled_from([0.5, 0.95]))
+    np.fill_diagonal(mask, False)
+    return DirectedGraph.from_edges(n, zip(*np.nonzero(mask)))
+
+
+@settings(derandomize=True, deadline=None)
+@example(dense50_graph())
+@given(spread_digraphs())
+def test_kernel_equals_per_row_reference_bit_for_bit(g):
+    sym = symmetrize(g)
+    assert_kernel_equals_reference(_metropolis_hastings(sym), sym)
 
 
 @settings(derandomize=True, deadline=None)
@@ -231,44 +294,27 @@ AUDIT_ACTORS = {"fig1": init_nodes(parse_edge_list(FIG1_TEXT), 0.15),
 
 @st.composite
 def audit_records(draw):
-    """Actors and (k, s, reads, writes, fresh) records: honest footprints,
-    repeats of earlier records and foreign ids, as tuples or lists, with k
-    running on, repeating or jumping. A fresh record holds lists, which the
-    test turns into new tuples at record time and frees right after; fresh
-    records come as the actor's own footprint, then (or after) one of the
-    same lengths with one foreign id, so the new tuples can take the memory,
-    and so the ids, of the freed ones."""
+    """Actors and (k, s, reads, writes) records: honest footprints, repeats
+    of earlier records and foreign ids, as tuples or lists, with k running
+    on, repeating or jumping."""
     actors = AUDIT_ACTORS[draw(st.sampled_from(sorted(AUDIT_ACTORS)))]
     node = st.integers(0, len(actors) - 1)
     records, k = [], 0
     for _ in range(draw(st.integers(0, 60))):
-        kind = draw(st.sampled_from(["honest", "repeat", "foreign", "fresh"]))
-        fresh = kind == "fresh"
+        kind = draw(st.sampled_from(["honest", "repeat", "foreign"]))
         if kind == "repeat" and records:
-            _, s, reads, writes, fresh = draw(st.sampled_from(records))
-            batch = [(s, reads, writes)]
+            _, s, reads, writes = draw(st.sampled_from(records))
         elif kind == "foreign":
             s = draw(node)
-            batch = [(s, draw(st.lists(node, max_size=6)),
-                      draw(st.lists(node, max_size=6)))]
+            reads = draw(st.lists(node, max_size=6))
+            writes = draw(st.lists(node, max_size=6))
         else:
             s = draw(node)
             reads, writes = actors[s].reads, actors[s].writes
-            if fresh:
-                reads, writes = list(reads), list(writes)
-            batch = [(s, reads, writes)]
-            others = [v for v in range(len(actors)) if v not in writes]
-            if fresh and reads and others:
-                bad = reads.copy()
-                bad[draw(st.integers(0, len(bad) - 1))] = draw(st.sampled_from(others))
-                batch.append((s, bad, writes))
-                if draw(st.booleans()):
-                    batch.reverse()
-        for s, reads, writes in batch:
-            if not fresh and draw(st.booleans()):
-                reads, writes = list(reads), list(writes)
-            k = draw(st.sampled_from([k + 1, k + 1, k, 0]) | st.integers(-5, 10**12))
-            records.append((k, s, reads, writes, fresh))
+        if draw(st.booleans()):
+            reads, writes = list(reads), list(writes)
+        k = draw(st.sampled_from([k + 1, k + 1, k, 0]) | st.integers(-5, 10**12))
+        records.append((k, s, reads, writes))
     return actors, records
 
 
@@ -277,15 +323,9 @@ def audit_records(draw):
 def test_footprint_audit_equals_per_event_audit(case):
     actors, records = case
     audit, ref = LocalityAudit(), ReferenceAudit()
-    for k, s, reads, writes, fresh in records:
-        if fresh:
-            # new tuples whose memory a freed earlier pair may have held: an
-            # identity lookup must not take them for that pair
-            reads, writes = tuple(reads), tuple(writes)
-        audit.record(k, s, reads, writes)
-        # copies, so that only the audit keeps the fresh tuples alive
-        ref.record(k, s, list(reads), list(writes))
-        del reads, writes
+    for rec in records:
+        audit.record(*rec)
+        ref.record(*rec)
     assert len(audit.events) == len(records)
     assert audit.violations(actors) == ref.violations(actors)
 

@@ -5,7 +5,8 @@ import pytest
 
 from centrasim.errors import AssumptionError
 from centrasim.graph import parse_edge_list, symmetrize
-from centrasim.surfer import (BLOCK_STEPS, SurferChain, build_transition_matrix,
+from centrasim.surfer import (BLOCK_STEPS, SurferChain, _metropolis_hastings,
+                              build_transition_matrix,
                               build_transition_matrix_temporal,
                               check_joint_connectivity, empirical_stationary)
 
@@ -42,9 +43,33 @@ def _reference_metropolis_hastings(sym):
         ps = [min(1.0 / (deg[i] + 1), 1.0 / (deg[j] + 1)) for j in sym.out_adj[i]]
         nbr.append(tuple(sym.out_adj[i]))
         prob.append(tuple(ps))
-        self_prob.append(1.0 - sum(ps))
+        # added left to right, as sum() adds floats up to Python 3.11 (3.12
+        # compensates), so that the reference bits do not depend on Python
+        total = 0.0
+        for p in ps:
+            total += p
+        self_prob.append(1.0 - total)
     return _TupleRowKernel(n=sym.n, nbr=tuple(nbr), prob=tuple(prob),
                            self_prob=tuple(self_prob))
+
+
+def assert_kernel_equals_reference(tm, sym):
+    """The kernel's four arrays hold the very bits of the per-row reference
+    on the symmetric graph sym, laid out flat."""
+    ref = _reference_metropolis_hastings(sym)
+    indptr, targets, prob, cum = [0], [], [], []
+    for i, (row_targets, row_cum) in enumerate(ref.cumulative_rows()):
+        targets += row_targets
+        prob += ref.prob[i] + (ref.self_prob[i],)
+        cum += row_cum
+        indptr.append(len(targets))
+    assert tm.n == ref.n
+    for got, want, dtype in ((tm.indptr, indptr, np.int64),
+                             (tm.targets, targets, np.int64),
+                             (tm.prob, prob, np.float64),
+                             (tm.cum, cum, np.float64)):
+        assert got.dtype == dtype
+        assert got.tobytes() == np.array(want, dtype=dtype).tobytes()
 
 
 def _reference_stream(kernel, omega, seed, steps):
@@ -87,8 +112,11 @@ def _one_draw_stream(kernels, omega, seed, steps):
 
 
 def _row(tm, i):
+    """Row i's targets, probabilities and running sums as tuples of Python
+    ints and floats (the very values of the kernel's arrays)."""
     lo, hi = tm.indptr[i], tm.indptr[i + 1]
-    return tm.targets[lo:hi], tm.prob[lo:hi], tm.cum[lo:hi]
+    return tuple(tm.targets[lo:hi].tolist()), tuple(tm.prob[lo:hi].tolist()), \
+        tuple(tm.cum[lo:hi].tolist())
 
 
 def _kernel_cases():
@@ -149,6 +177,11 @@ class TestTransitionMatrix:
             assert cum[-1] == 1.0
             assert all(b >= a for a, b in zip(cum, cum[1:]))
             assert targets[-1] == i  # self-loop slot last
+
+    def test_web4000_kernel_equals_reference(self):
+        g = weblike_graph(np.random.default_rng(101), 4000)
+        sym = symmetrize(g)
+        assert_kernel_equals_reference(_metropolis_hastings(sym), sym)
 
     def test_flat_layout_equals_tuple_rows(self):
         # outputs are pinned byte for byte: the flat kernel must hold the
