@@ -39,28 +39,38 @@ from .matrix import Csr, apply_google_matrix, in_links
 
 @dataclass(frozen=True)
 class RegressionRows:
-    """Condensed sparse rows H_i, aligned index/coefficient arrays.
+    """Condensed sparse rows H_i in one flat layout.
 
-    idx[i][0] == i (diagonal), followed by the sorted in-neighbor columns;
-    idx[i] and coef[i] are views into one flat layout. y is the common
-    target m/n, or None when the network size is withheld (the unknown-size
-    engine supplies its own running estimate).
+    Row i is indices[indptr[i]:indptr[i+1]] with the coefficients at the
+    same positions of data: i itself (the diagonal), then its sorted
+    in-neighbor columns. The compiled engine steps read the flat arrays;
+    idx and coef are their per-row views, built on first read. y is the
+    common target m/n, or None when the network size is withheld (the
+    unknown-size engine supplies its own running estimate).
     """
 
     n: int
     m: float
-    idx: tuple[np.ndarray, ...]
-    coef: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     y: float | None
+
+    @cached_property
+    def idx(self):
+        return tuple(np.split(self.indices, self.indptr[1:-1]))
+
+    @cached_property
+    def coef(self):
+        return tuple(np.split(self.data, self.indptr[1:-1]))
 
     @cached_property
     def csr(self):
         """Stacked rows as a Csr with sorted columns, built on first use;
         the temporal engine rebuilds rows per snapshot and never asks."""
-        indptr = np.cumsum([0, *map(len, self.idx)])
-        cols = np.concatenate(self.idx)
-        order = np.lexsort((cols, np.repeat(np.arange(self.n), np.diff(indptr))))
-        return Csr(indptr, cols[order], np.concatenate(self.coef)[order],
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        order = np.lexsort((self.indices, rows))
+        return Csr(self.indptr, self.indices[order], self.data[order],
                    (self.n, self.n))
 
 
@@ -85,9 +95,7 @@ def _assemble(n, m, diag, rows, cols, vals, n_known):
     data = np.empty(indptr[-1])
     data[first] = diag
     data[off] = vals
-    cuts = indptr[1:-1]
-    return RegressionRows(n=n, m=m, idx=tuple(np.split(indices, cuts)),
-                          coef=tuple(np.split(data, cuts)),
+    return RegressionRows(n=n, m=m, indptr=indptr, indices=indices, data=data,
                           y=m / n if n_known else None)
 
 
@@ -198,7 +206,7 @@ def power_method(w, m, tol=1e-12, max_iter=10_000):
 
 def brandes_betweenness(g):
     """Exact betweenness over ordered pairs, unit edge lengths."""
-    from . import _native  # here, so that the pagerank commands never load it
+    from . import _native  # here: importing the package leaves it out
 
     lib = _native.load()
     bc = _loop_betweenness(g) if lib is None else _native.brandes(lib, g)

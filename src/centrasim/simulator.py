@@ -4,12 +4,12 @@ Each page owns its own importance value and a condensed row over its
 in-neighbors. An activation pulls the neighbors' current values, applies
 the engine's own project to them, and pushes the changed values back; the
 activation token carries the global counter so nobody needs a clock. The
-engine's drive runs the sample/activate/trace loop, so engine and simulator
-traces agree bit for bit by construction. The locality audit stores each
-distinct footprint (actor, ids read, ids written) once and, per activation,
-only that footprint's id, one byte while there are at most 256 footprints,
-so tests can prove that an activation of s touches nothing outside s and
-its in-neighbors.
+engine's drive runs the sample/activate/trace loop through its Python
+block, step_loop, so engine and simulator traces agree bit for bit by
+construction. The locality audit stores each distinct footprint (actor,
+ids read, ids written) once and, per activation, only that footprint's
+id, one byte while there are at most 256 footprints, so tests can prove
+that an activation of s touches nothing outside s and its in-neighbors.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import drive, project
+from .engine import drive, project, step_loop
 
 
 @dataclass
@@ -161,8 +161,9 @@ def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
         last_k[s] = token.k
         return 1.0 / activate(actors, token, s, audit=audit)
 
-    trace_rows = drive(chain.sample_next, step, lambda: assemble_vector(actors),
-                       budget, trace_stride, oracle_x, rows_diag)
+    trace_rows = drive(step_loop(chain.sample_next, step),
+                       lambda: assemble_vector(actors), budget, trace_stride,
+                       oracle_x, rows_diag)
     size_estimates = {s: estimate_network_size(actors[s], k)
                       for s, k in last_k.items()}
     return SimulationRun(actors=actors, token=token, trace_rows=trace_rows,

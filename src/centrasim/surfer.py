@@ -8,12 +8,17 @@ mass kept on the diagonal, and an omega-weighted uniform restart is mixed
 on top.
 
 The kernel is stored row-wise in flat numpy arrays, built by vectorized
-passes over the symmetrized graph's CSR. The sampler reads them as Python
-lists, converted once per kernel: a hop is one bisect within the current
-row's cumulative weights, and bisect on numpy arrays is 2-3x slower.
+passes over the symmetrized graph's CSR. A hop is one bisect within the
+current row's cumulative weights. The chain draws its uniforms in blocks
+and keeps the current block and a position in it, which both samplers
+read: sample_next, which reads the kernel as Python lists (bisect on
+numpy arrays is 2-3x slower), converted the first time it samples on a
+kernel; and the engine's compiled steps, which read the arrays themselves
+and so never build the lists.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -157,7 +162,9 @@ class SurferChain:
 
     Single-owner, stateful: sample_next advances the walk, which starts at
     node 0. The kernel part is immutable and may be shared between
-    replications.
+    replications. Each sample reads the next two uniforms of the current
+    block; the next block of 2*BLOCK_STEPS is drawn when a sample finds
+    this one used up (none before the first sample).
     """
 
     matrix: TransitionMatrix
@@ -168,8 +175,8 @@ class SurferChain:
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
-        self._pairs = iter(())  # filled on the first sample, not before
-        self._indptr, self._targets, self._cum = self.matrix.lists
+        self._block, self._pos = array("d"), 0
+        self._lists = None  # the kernel's lists, read on the first sample
 
     @property
     def n(self):
@@ -178,22 +185,39 @@ class SurferChain:
     def set_matrix(self, matrix):
         """Swap kernels mid-walk (temporal snapshots); state carries over."""
         self.matrix = matrix
-        self._indptr, self._targets, self._cum = matrix.lists
+        self._lists = None
+
+    def uniforms(self):
+        """The current block of uniforms and the position of its next unread
+        pair, drawing the next block first when this one is used up."""
+        if self._pos == len(self._block):
+            self._block = array("d", self._rng.random(2 * BLOCK_STEPS).tobytes())
+            self._pos = 0
+        return self._block, self._pos
+
+    def advance(self, steps, node):
+        """Account for `steps` samples read from the block elsewhere, the
+        last of them landing on node."""
+        self._pos += 2 * steps
+        self.step_count += steps
+        self.current = node
 
     def sample_next(self):
-        pair = next(self._pairs, None)
-        if pair is None:
-            draws = iter(self._rng.random(2 * BLOCK_STEPS).tolist())
-            self._pairs = zip(draws, draws)
-            pair = next(self._pairs)
-        u, v = pair
+        block, pos = self._block, self._pos
+        if pos == len(block):
+            block, pos = self.uniforms()
+        u, v = block[pos], block[pos + 1]
+        self._pos = pos + 2
         if u < self.omega:  # u >= 0, so omega = 0 never restarts
             nxt = int(v * self.n)
             if nxt == self.n:  # guard the open-interval edge
                 nxt = self.n - 1
         else:
-            ptr, c = self._indptr, self.current
-            nxt = self._targets[bisect_right(self._cum, v, ptr[c], ptr[c + 1])]
+            if self._lists is None:
+                self._lists = self.matrix.lists
+            ptr, targets, cum = self._lists
+            c = self.current
+            nxt = targets[bisect_right(cum, v, ptr[c], ptr[c + 1])]
         self.current = nxt
         self.step_count += 1
         return nxt

@@ -605,28 +605,29 @@ def test_cli_commands_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# The compiled oracle loops are found or built on first use, in Brandes and
-# BFS only; import and the pagerank commands never pay for the loader.
-# (ctypes itself cannot be asserted absent: numpy imports it.)
-NO_NATIVE_SCRIPT = """
-import sys
-from centrasim import cli
-assert "centrasim._native" not in sys.modules, "import centrasim.cli"
+# The compiled library is found or built on first use: on a run's first
+# block of engine steps, or in Brandes and BFS. A pass of no steps and a
+# --mode dist run never load it.
+LIBRARY_SCRIPT = """
+from centrasim import _native, cli
 for argv in (["pagerank", "fig1.txt"], ["pagerank", "fig1.txt", "--mode", "dist"],
              ["pagerank-temporal", "seq.txt"]):
-    assert cli.main([*argv, "--iterations", "500"]) == 0, argv
-    assert "centrasim._native" not in sys.modules, argv
-assert cli.main(["oracle", "fig1.txt"]) == 0
-assert "centrasim._native" in sys.modules, "oracle"
+    assert cli.main([*argv, "--iterations", "0"]) == 0, argv
+    assert _native.load.cache_info().misses == 0, argv
+argv = ["pagerank", "fig1.txt", "--mode", "dist", "--iterations", "500"]
+assert cli.main(argv) == 0
+assert _native.load.cache_info().misses == 0, "dist"
+assert cli.main(["pagerank", "fig1.txt", "--iterations", "500"]) == 0
+assert _native.load.cache_info().misses == 1, "pagerank"
 """
 
 
-def test_pagerank_commands_never_load_the_native_loader(tmp_path):
+def test_only_engine_steps_and_oracles_load_the_library(tmp_path):
     (tmp_path / "fig1.txt").write_text(FIG1_TEXT)
     (tmp_path / "seq.txt").write_text("0 a b\n0 b a\n0 b c\n0 c b\n"
                                       "1 a c\n1 c a\n1 b c\n1 c b\n")
     src = Path(centrasim.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", NO_NATIVE_SCRIPT], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_SCRIPT], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

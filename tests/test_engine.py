@@ -160,16 +160,6 @@ class TestTemporal:
         oracle = direct_ls_solve(avg_rows).x
         assert np.abs(out.state.x - oracle).max() < 1e-3
 
-    def test_known_target_variant(self, fig1):
-        w = build_hyperlink_matrix(fig1)
-        kernels = build_transition_matrix_temporal([fig1], 0.0, joint_window=1)
-        chain = SurferChain(matrix=kernels[0], omega=0.0, seed=0)
-        pa = PersistentAverage(rho=1.0)
-        oracle = direct_ls_solve(rows_from_graph(fig1, m=0.15)).x
-        out = run_temporal([w], kernels, chain, pa, m=0.15, budget=60_000,
-                           snapshot_stride=1000, y=0.15 / 6, oracle_x=oracle)
-        assert np.abs(out.state.x - oracle).max() < 1e-3
-
     def test_snapshot_schedule(self, fig1):
         # two identical snapshots: persistent average must have z == 2
         w = build_hyperlink_matrix(fig1)

@@ -9,8 +9,11 @@ method, on top of 08e1aef: the oracle headers and four trace error digits).
 test_deterministic_outputs compares two runs of the same code; this test
 compares against the recorded bytes, so a change that moves any output in
 its last digit fails here. The centrality and oracle runs are checked once
-more without the compiled Brandes and BFS loops, against the same digests. On a mismatch the first differing line is
-reported, located through the recorded per-line digests.
+more without the compiled Brandes and BFS loops, and the pagerank runs
+twice more without the compiled engine steps (once without the library,
+once with it but without numpy's ddot), against the same digests. On a
+mismatch the first differing line is reported, located through the
+recorded per-line digests.
 
 After an intended output change, re-record with
 
@@ -99,6 +102,17 @@ def test_outputs_match_recorded_bytes(name, tmp_path):
 def test_python_oracle_loops_match_recorded_bytes(name, tmp_path, monkeypatch):
     """The runs that call Brandes or BFS, without the compiled library."""
     monkeypatch.setattr(_native, "load", lambda: None)
+    _check(name, run_outputs(name, tmp_path))
+
+
+@pytest.mark.parametrize("missing", ["load", "ddot"])
+@pytest.mark.parametrize("name", sorted(n for n in RUNS
+                                        if RUNS[n][0].startswith("pagerank")))
+def test_python_step_loop_matches_recorded_bytes(name, missing, tmp_path,
+                                                 monkeypatch):
+    """The pagerank runs on the Python step loop: without the library, or
+    with it but without numpy's ddot."""
+    monkeypatch.setattr(_native, missing, lambda: None)
     _check(name, run_outputs(name, tmp_path))
 
 

@@ -1,11 +1,13 @@
-"""The loader of the compiled oracle loops: its per-user cache, its fallback
-to the Python queue loops, and a build free of compiler warnings."""
+"""The loader of the compiled loops: its per-user cache, its fallback to
+the Python loops, its checks of every array it hands over, and a build free
+of compiler warnings."""
 import os
 import pickle
 import shutil
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,10 @@ import pytest
 
 import centrasim
 from centrasim import _native
-from centrasim.graph import DirectedGraph, parse_edge_list
+from centrasim.engine import KaczmarzState
+from centrasim.graph import DirectedGraph, parse_edge_list, symmetrize
+from centrasim.oracles import rows_from_graph
+from centrasim.surfer import SurferChain, _metropolis_hastings
 
 from conftest import FIG1_TEXT, dense50_graph, needs_cc, random_digraph
 from test_acceptance import weblike_graph
@@ -188,24 +193,90 @@ def test_predecessor_slots_short_of_an_in_degree_never_reach_the_library(
         _native.brandes(lib, g)
 
 
-# the child loads the sanitized library and checks both loops on every
-# graph against the Python queue loops
+class _Untouchable:
+    """A library whose steps loop fails the test if anything calls it."""
+
+    def centrasim_steps(self, *args):
+        raise AssertionError("checked input reached the library")
+
+
+def _fig1_steps(kernel=None):
+    """Steps on fig1 over an untouchable library, and fig1's rows."""
+    g = parse_edge_list(FIG1_TEXT)
+    rows = rows_from_graph(g, 0.15, n_known=False)
+    chain = SurferChain(matrix=kernel or _metropolis_hastings(symmetrize(g)),
+                        omega=0.15, seed=0)
+    state = KaczmarzState.fresh(g.n, "unknown-n")
+    return _native.Steps(_Untouchable(), 0, state, chain), rows
+
+
+def test_rows_column_outside_the_graph_never_reaches_the_library():
+    steps, rows = _fig1_steps()
+    with pytest.raises(ValueError, match="column"):
+        steps(replace(rows, indices=rows.indices + rows.n), 10)
+
+
+def test_kernel_target_outside_the_graph_never_reaches_the_library():
+    kernel = _metropolis_hastings(symmetrize(parse_edge_list(FIG1_TEXT)))
+    steps, rows = _fig1_steps(kernel=replace(kernel, targets=kernel.targets + 1))
+    with pytest.raises(ValueError, match="column"):
+        steps(rows, 10)
+
+
+def test_rows_of_another_size_never_reach_the_library():
+    steps, _ = _fig1_steps()
+    with pytest.raises(ValueError, match="nodes"):
+        steps(rows_from_graph(dense50_graph(), 0.15, n_known=False), 10)
+
+
+def test_kernel_row_not_summing_to_one_never_reaches_the_library():
+    kernel = _metropolis_hastings(symmetrize(parse_edge_list(FIG1_TEXT)))
+    cum = kernel.cum.copy()
+    cum[kernel.indptr[1] - 1] = 0.5  # node 0's row now ends short of 1.0
+    steps, rows = _fig1_steps(kernel=replace(kernel, cum=cum))
+    with pytest.raises(ValueError, match="1.0"):
+        steps(rows, 10)
+
+
+# the child loads the sanitized library and checks every loop on every
+# graph against the Python loops: Brandes and BFS, then engine runs in both
+# modes, with and without restarts, on block lengths that end inside and
+# at the edge of the chain's uniform blocks
 ASAN_CHILD = r"""
 import pickle
 import sys
 
 import numpy as np
 
-from centrasim import _native
-from centrasim.oracles import _loop_all_pairs, _loop_betweenness
+from centrasim import _native, engine
+from centrasim.graph import symmetrize
+from centrasim.oracles import _loop_all_pairs, _loop_betweenness, rows_from_graph
+from centrasim.surfer import SurferChain, _metropolis_hastings
 
 lib = _native._open(sys.argv[1])
 with open(sys.argv[2], "rb") as fh:
     graphs = pickle.load(fh)
+
+
+def run(g, mode, omega, stride, library):
+    _native.load = lambda: library
+    chain = SurferChain(matrix=_metropolis_hastings(symmetrize(g)),
+                        omega=omega, seed=g.n)
+    out = engine.run(rows_from_graph(g, 0.15, n_known=mode == "known-n"),
+                     chain, mode, 700, trace_stride=stride)
+    return (out.state.x.tobytes(), out.state.visits.tobytes(), out.trace_rows,
+            chain.current, chain._rng.bit_generator.state)
+
+
+# without numpy's ddot both runs would take the Python steps
+cases = [("known-n", 0.0, 256), ("unknown-n", 0.15, 97)] if _native.ddot() else []
 for name, g in graphs:
     assert np.array_equal(_native.brandes(lib, g), _loop_betweenness(g)), name
     assert np.array_equal(_native.bfs_all_pairs(lib, g), _loop_all_pairs(g)), name
-print(len(graphs))
+    for mode, omega, stride in cases:
+        assert run(g, mode, omega, stride, lib) == \
+            run(g, mode, omega, stride, None), (name, mode)
+print(len(graphs), len(graphs) * len(cases))
 """
 
 
@@ -250,4 +321,5 @@ def test_loops_run_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, \
         proc.stderr
-    assert proc.stdout.split() == [str(len(graphs))]
+    runs = 2 * len(graphs) if _native.ddot() else 0
+    assert proc.stdout.split() == [str(len(graphs)), str(runs)]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from centrasim import _native  # noqa: E402
 from centrasim.cli import KEYS, main  # noqa: E402
-from centrasim.engine import project  # noqa: E402
+from centrasim.engine import project, run, run_temporal  # noqa: E402
 from centrasim.errors import RepairError  # noqa: E402
 from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
                              parse_edge_list, parse_temporal_edge_list,
@@ -24,10 +24,10 @@ from centrasim.oracles import (_loop_all_pairs, _loop_betweenness,  # noqa: E402
                                bfs_all_pairs, build_regression_rows,
                                direct_ls_solve, rows_from_graph)
 from centrasim.simulator import LocalityAudit, init_nodes  # noqa: E402
-from centrasim.surfer import _metropolis_hastings  # noqa: E402
+from centrasim.surfer import SurferChain, _metropolis_hastings  # noqa: E402
 
 from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, \
-    random_digraph  # noqa: E402
+    needs_steps, random_digraph  # noqa: E402
 from test_acceptance import weblike_graph  # noqa: E402
 from test_surfer import assert_kernel_equals_reference  # noqa: E402
 
@@ -266,6 +266,74 @@ def test_persistent_average_equals_scipy_bit_for_bit(graphs, rho):
         _assert_same_csr(pa.wbar, ref)
         assert column_sums(pa.wbar).tobytes() == \
             np.asarray(ref.sum(axis=0)).ravel().tobytes()
+
+
+def _both_paths(run_once):
+    """run_once() with the compiled steps, then with the Python step loop
+    (no library)."""
+    assert _native.load() is not None
+    compiled = run_once()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        python = run_once()
+    return compiled, python
+
+
+def _assert_same_run(compiled, python):
+    """Bit-equal iterate, visits, step count, trace, walk and RNG state."""
+    (a, ca), (b, cb) = compiled, python
+    assert a.state.x.tobytes() == b.state.x.tobytes()
+    assert a.state.visits.tobytes() == b.state.visits.tobytes()
+    assert a.state.k == b.state.k == a.steps_used
+    assert a.trace_rows == b.trace_rows
+    assert (ca.current, ca.step_count) == (cb.current, cb.step_count)
+    assert ca._rng.bit_generator.state == cb._rng.bit_generator.state
+
+
+_omegas = st.sampled_from([0.0, 0.15, 1.0])
+
+
+@needs_steps
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(dense50_graph(), "unknown-n", 0.15, 7, 3000, 2)
+@given(digraphs(), st.sampled_from(["known-n", "unknown-n"]), _omegas,
+       st.integers(1, 700), st.integers(0, 1500), st.integers(0, 2**32 - 1))
+def test_compiled_steps_equal_python_step_loop(g, mode, omega, stride, budget,
+                                               seed):
+    rows = rows_from_graph(g, 0.15, n_known=mode == "known-n")
+    kernel = _metropolis_hastings(symmetrize(g))
+    oracle = np.full(g.n, 1.0 / g.n)
+
+    def run_once():
+        chain = SurferChain(matrix=kernel, omega=omega, seed=seed)
+        return run(rows, chain, mode, budget, trace_stride=stride,
+                   oracle_x=oracle, residual_target=0.15 / g.n), chain
+
+    compiled, python = _both_paths(run_once)
+    _assert_same_run(compiled, python)
+
+
+@needs_steps
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(snapshot_sequences(), _omegas, st.integers(1, 300), st.integers(1, 700),
+       st.integers(0, 1500), st.integers(0, 2**32 - 1))
+def test_compiled_temporal_steps_equal_python_step_loop(
+        graphs, omega, snapshot_stride, stride, budget, seed):
+    mats = [build_hyperlink_matrix(g) for g in graphs]
+    lists_built = []
+
+    def run_once():
+        kernels = [_metropolis_hastings(symmetrize(g)) for g in graphs]
+        chain = SurferChain(matrix=kernels[0], omega=omega, seed=seed)
+        out = run_temporal(mats, kernels, chain, PersistentAverage(rho=0.9),
+                           0.15, budget, snapshot_stride, trace_stride=stride)
+        lists_built.append(any("lists" in vars(k) for k in kernels))
+        return out, chain
+
+    compiled, python = _both_paths(run_once)
+    _assert_same_run(compiled, python)
+    # the compiled steps read the kernel arrays: no list copy was built
+    assert not lists_built[0]
 
 
 class ReferenceAudit:
