@@ -151,7 +151,7 @@ def _compiled_block(state, chain, rows_of):
 
 
 def drive(block, vector, budget, trace_stride, oracle_x=None, rows_diag=None,
-          y_diag=None, stop_error=None):
+          y_diag=None):
     """Run `budget` activations in blocks, one per trace row; return the
     trace rows.
 
@@ -160,8 +160,7 @@ def drive(block, vector, budget, trace_stride, oracle_x=None, rows_diag=None,
     iterate. A trace row is recorded every `trace_stride` steps: error
     against the oracle vector (when given), the stacked-residual diagnostic
     against rows_diag (when given; y_diag overrides its target), the
-    inverse stepsize and the active node. With stop_error set, the run
-    ends early at the first traced step whose oracle error is below it.
+    inverse stepsize and the active node.
     """
     trace_rows = []
     k = 0
@@ -176,8 +175,6 @@ def drive(block, vector, budget, trace_stride, oracle_x=None, rows_diag=None,
             res = (ls_objective(x, rows_diag, y=y_diag)
                    if rows_diag is not None else None)
             trace_rows.append(format_trace_row(k, err, res, alpha_inv, s))
-            if stop_error is not None and err is not None and err < stop_error:
-                break
     return trace_rows
 
 
@@ -185,11 +182,10 @@ def drive(block, vector, budget, trace_stride, oracle_x=None, rows_diag=None,
 class EngineRun:
     state: KaczmarzState
     trace_rows: list
-    steps_used: int
 
 
 def run(rows, chain, mode, budget, trace_stride=100, oracle_x=None,
-        stop_error=None, residual_target=None):
+        residual_target=None):
     """Drive sampling plus stepping for `budget` activations.
 
     The residual diagnostic uses residual_target, else the rows' own
@@ -207,9 +203,8 @@ def run(rows, chain, mode, budget, trace_stride=100, oracle_x=None,
                           step_loop(chain.sample_next, step))
     has_target = residual_target is not None or rows.y is not None
     trace_rows = drive(block, lambda: state.x, budget, trace_stride, oracle_x,
-                       rows if has_target else None, residual_target,
-                       stop_error)
-    return EngineRun(state=state, trace_rows=trace_rows, steps_used=state.k)
+                       rows if has_target else None, residual_target)
+    return EngineRun(state=state, trace_rows=trace_rows)
 
 
 def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
@@ -252,4 +247,4 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
         return out
 
     trace_rows = drive(block, lambda: state.x, budget, trace_stride, oracle_x)
-    return EngineRun(state=state, trace_rows=trace_rows, steps_used=state.k)
+    return EngineRun(state=state, trace_rows=trace_rows)

@@ -141,8 +141,6 @@ def map_distinct(fn, items):
 
 
 def _tokenize(text):
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -220,20 +218,6 @@ def parse_temporal_edge_list(text):
 def _pairs(g):
     """The edges of g as (src, dst) pairs of Python ints, in key order."""
     return zip(*(a.tolist() for a in np.divmod(g.keys, g.n)))
-
-
-def serialize_edge_list(g):
-    """Inverse of parse_edge_list (up to edge ordering)."""
-    lines = [f"{g.labels[u]} {g.labels[v]}" for (u, v) in _pairs(g)]
-    return "\n".join(lines) + "\n"
-
-
-def serialize_temporal_edge_list(seq):
-    lines = []
-    for (t, g) in seq.snapshots:
-        for (u, v) in _pairs(g):
-            lines.append(f"{t} {g.labels[u]} {g.labels[v]}")
-    return "\n".join(lines) + "\n"
 
 
 def repair_dangling(g, policy="backlink"):

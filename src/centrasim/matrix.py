@@ -130,7 +130,6 @@ class PersistentAverage:
     rho: float
     wbar: Csr = None
     z: float = 0.0
-    k: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
@@ -142,7 +141,6 @@ class PersistentAverage:
                 f"snapshot shape {w_k.shape} != running shape {self.wbar.shape}"
             )
         self.z = self.rho * self.z + 1.0
-        self.k += 1
         self.wbar = w_k if self.wbar is None else _blend(self.wbar, w_k, 1.0 / self.z)
         return self
 

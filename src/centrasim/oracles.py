@@ -100,14 +100,9 @@ def _assemble(n, m, diag, rows, cols, vals, n_known):
 
 
 def build_regression_rows(w, m, n_known=True):
-    """Rows of I - (1-m)W from a column-stochastic W, read row by row from
-    a Csr or from any scipy sparse matrix in its CSR form."""
+    """Rows of I - (1-m)W from a column-stochastic Csr W, read row by row."""
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
-    if not isinstance(w, Csr):
-        w = w.tocsr()
-        if not w.has_sorted_indices:
-            w = w.sorted_indices()
     rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
     off = rows != w.indices
     # No self-loops upstream, so the diagonal is 1; a diagonal entry of W
@@ -180,23 +175,15 @@ def direct_ls_solve(rows, y=None):
 
 def power_method(w, m, tol=1e-12, max_iter=10_000):
     """Iterate the Google matrix from the uniform vector until the L1 step
-    falls below tol. With m=0 the plain matrix is iterated with per-step
-    renormalization (eigenvector centrality of a primitive matrix)."""
+    falls below tol; the damping m lies in (0, 1)."""
     n = w.shape[0]
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"damping factor m={m} outside [0,1)")
+    if not 0.0 < m < 1.0:
+        raise ValueError(f"damping factor m={m} outside (0,1)")
     x = np.full(n, 1.0 / n)
     for it in range(1, max_iter + 1):
-        if m == 0.0:
-            x_new = w @ x
-            s = np.abs(x_new).sum()
-            if s == 0:
-                raise RuntimeError("matrix annihilated the iterate")
-            x_new = x_new / s
-        else:
-            x_new = apply_google_matrix(w, m, x)
+        x_new = apply_google_matrix(w, m, x)
         if np.abs(x_new - x).sum() < tol:
             return LsSolution(x=x_new, residual=float(np.abs(x_new - x).sum()),
                               iterations=it)

@@ -171,7 +171,6 @@ class SurferChain:
     omega: float
     seed: int
     current: int = field(init=False, default=0)
-    step_count: int = field(init=False, default=0)
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
@@ -199,7 +198,6 @@ class SurferChain:
         """Account for `steps` samples read from the block elsewhere, the
         last of them landing on node."""
         self._pos += 2 * steps
-        self.step_count += steps
         self.current = node
 
     def sample_next(self):
@@ -219,7 +217,6 @@ class SurferChain:
             c = self.current
             nxt = targets[bisect_right(cum, v, ptr[c], ptr[c + 1])]
         self.current = nxt
-        self.step_count += 1
         return nxt
 
 

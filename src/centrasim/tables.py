@@ -1,53 +1,21 @@
 """Plain-text result tables: one header line, then `node,value` rows.
 
 Formatting is fixed at 12 significant digits so identical runs produce
-byte-identical files, and the parser round-trips the serializer exactly.
+byte-identical files.
 """
 from __future__ import annotations
-
-import numpy as np
-
-from .levelsets import CentralityVector
 
 
 def format_value(v):
     return f"{float(v):.11e}"
 
 
-def serialize_vector(values, labels, kind, normalized, extras=None):
-    parts = [f"kind={kind}", f"normalized={'true' if normalized else 'false'}"]
+def serialize_centrality(cv, labels, extras=None):
+    parts = [f"kind={cv.kind}",
+             f"normalized={'true' if cv.normalized else 'false'}"]
     if extras:
         parts.extend(f"{k}={v}" for k, v in extras.items())
     lines = ["# " + " ".join(parts)]
-    for lab, v in zip(labels, values):
+    for lab, v in zip(labels, cv.values):
         lines.append(f"{lab},{format_value(v)}")
     return "\n".join(lines) + "\n"
-
-
-def serialize_centrality(cv, labels, extras=None):
-    return serialize_vector(cv.values, labels, cv.kind, cv.normalized, extras)
-
-
-def parse_vector(text):
-    """Inverse of serialize_vector: returns (values, labels, meta dict)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing table header")
-    meta = {}
-    for tok in lines[0][1:].split():
-        key, _, val = tok.partition("=")
-        meta[key] = val
-    labels = []
-    values = []
-    for ln in lines[1:]:
-        lab, _, val = ln.rpartition(",")
-        labels.append(lab)
-        values.append(float(val))
-    return np.array(values), labels, meta
-
-
-def parse_centrality(text):
-    values, labels, meta = parse_vector(text)
-    cv = CentralityVector(values=values, kind=meta.get("kind", "?"),
-                          normalized=meta.get("normalized") == "true")
-    return cv, labels, meta

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from centrasim import _native
-from centrasim.graph import DirectedGraph, parse_edge_list, repair_dangling, symmetrize
+from centrasim.graph import DirectedGraph, parse_edge_list, symmetrize
 from centrasim.graph import is_strongly_connected
 
 # acceptance-criterion verdict lines, echoed after the run summary
@@ -79,6 +79,25 @@ def as_scipy(w):
     for the reference computations only scipy provides."""
     import scipy.sparse as sp
     return sp.csr_matrix((w.data, w.indices, w.indptr), shape=w.shape)
+
+
+def serialize_edge_list(g):
+    """Inverse of parse_edge_list (up to edge ordering)."""
+    return "".join(f"{g.labels[u]} {g.labels[v]}\n" for (u, v) in sorted(g.edges))
+
+
+def serialize_temporal_edge_list(seq):
+    """Inverse of parse_temporal_edge_list (up to edge ordering)."""
+    return "".join(f"{t} {g.labels[u]} {g.labels[v]}\n"
+                   for (t, g) in seq.snapshots for (u, v) in sorted(g.edges))
+
+
+def read_table(text):
+    """A result table's values, labels and header fields (key=value)."""
+    header, *rows = text.splitlines()
+    meta = dict(tok.partition("=")[::2] for tok in header[1:].split())
+    labels, values = zip(*(row.rsplit(",", 1) for row in rows))
+    return np.array(values, dtype=float), list(labels), meta
 
 
 def random_digraph(rng, n, p=0.15, repaired=True):

@@ -10,11 +10,12 @@ import centrasim
 import centrasim.cli as cli
 from centrasim.cli import DEFAULTS, KEYS, main
 from centrasim.graph import parse_edge_list, repair_dangling
+from centrasim.levelsets import CentralityVector
 from centrasim.matrix import build_hyperlink_matrix
 from centrasim.oracles import LsSolution, build_regression_rows, direct_ls_solve
-from centrasim.tables import parse_centrality
+from centrasim.tables import serialize_centrality
 
-from conftest import DANGLING_TEXT, FIG1_TEXT, TEMPORAL_TEXT
+from conftest import DANGLING_TEXT, FIG1_TEXT, TEMPORAL_TEXT, read_table
 from test_acceptance import weblike_graph
 
 TABLE1 = {
@@ -32,8 +33,8 @@ def fig1_file(tmp_path):
 
 
 def _read(tmp_path, name):
-    cv, labels, header = parse_centrality((tmp_path / name).read_text())
-    return labels, cv.values, header
+    values, labels, header = read_table((tmp_path / name).read_text())
+    return labels, values, header
 
 
 def _two_cycle(tmp_path, command):
@@ -114,8 +115,9 @@ class TestPagerank:
         main(["pagerank", str(fig1_file), "--iterations", "5000",
               "--seed", "3", "--output-dir", str(tmp_path)])
         text = (tmp_path / "vector.csv").read_text()
-        cv, labels, _ = parse_centrality(text)
-        from centrasim.tables import serialize_centrality
+        values, labels, meta = read_table(text)
+        cv = CentralityVector(values=values, kind=meta["kind"],
+                              normalized=meta["normalized"] == "true")
         again = serialize_centrality(cv, labels,
                                      extras={"mode": "unknown-n", "seed": 3})
         assert again == text

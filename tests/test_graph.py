@@ -4,10 +4,10 @@ import pytest
 from centrasim.errors import GraphFormatError, RepairError
 from centrasim.graph import (DirectedGraph, parse_edge_list,
                              parse_temporal_edge_list, repair_dangling,
-                             serialize_edge_list, serialize_temporal_edge_list,
                              symmetrize, validate_oriented_tree)
 
-from conftest import random_digraph
+from conftest import (random_digraph, serialize_edge_list,
+                      serialize_temporal_edge_list)
 
 
 class TestParseEdgeList:

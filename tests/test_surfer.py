@@ -297,7 +297,13 @@ class TestSurferChain:
                 chain.set_matrix(swaps[t])
             got.append(chain.sample_next())
         assert got == _one_draw_stream(swaps, omega, 13, steps)
-        assert chain.step_count == steps
+        # the chain read 2*steps uniforms: eleven blocks drawn, 123 pairs
+        # read from the last
+        ref = np.random.default_rng(13)
+        for _ in range(11):
+            ref.random(2 * BLOCK_STEPS)
+        assert chain._rng.bit_generator.state == ref.bit_generator.state
+        assert chain._pos == 2 * 123
 
     def test_no_draw_before_first_sample(self, fig1):
         chain = SurferChain(matrix=build_transition_matrix(fig1, 0.15),
