@@ -145,6 +145,8 @@ def _tokenize(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if "," in line:  # every table is label,value lines
+            raise GraphFormatError(f"line {lineno}: a label may not contain ',': {line!r}")
         yield lineno, line.split()
 
 

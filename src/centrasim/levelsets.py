@@ -168,9 +168,6 @@ def tree_betweenness(ls, g):
     succ = 1.0 + (ls.fwd > 0).sum(axis=1)
     pred = 1.0 + (ls.bwd > 0).sum(axis=1)
     for i in range(n):
-        # In an oriented tree an out-neighbor can never also be an
-        # in-neighbor (that pair would be a 2-cycle).
-        assert not set(g.out_adj[i]) & set(g.in_adj[i])
         r_total = sum(succ[j] for j in g.out_adj[i])
         l_total = sum(pred[k] for k in g.in_adj[i])
         vals[i] = r_total * l_total

@@ -76,8 +76,10 @@ class RegressionRows:
 
 @dataclass(frozen=True)
 class LsSolution:
+    """A PageRank vector and the iterations that produced it (0 for the
+    direct solve); ls_objective(x, rows) gives its residual."""
+
     x: np.ndarray
-    residual: float
     iterations: int = 0
 
 
@@ -139,38 +141,19 @@ def ls_objective(x, rows, y=None):
     return float(r @ r)
 
 
-def direct_ls_solve(rows, y=None):
-    """Exact normal-equations solve at desk scale.
+def direct_ls_solve(rows):
+    """Exact PageRank from one LU solve of the square system H x = (m/n) 1.
 
-    The Gram matrix H^T H is positive definite for every valid hyperlink
-    matrix; Cholesky doubles as the definiteness assertion.
-
-    At most two n x n float64 arrays are alive at once (peak 2 * 8n^2
-    bytes): the dense H is dropped once H^T H and H^T y are formed, and the
-    Gram matrix is factored in place. numpy forms H^T H with a symmetric
-    rank-k update that mirrors the result, so gram.T equals gram bit for
-    bit; gram.T is the F-contiguous view that LAPACK overwrites without a
-    copy, where the C-contiguous gram would be copied even with
-    overwrite_a. The residual comes from the sparse rows. The CLI takes its
-    oracle from the power method; this solve is the tests' reference.
+    H = I - (1-m)W is nonsingular for every column-stochastic W and m in
+    (0, 1): its columns are strictly diagonally dominant. The dense H and
+    LAPACK's copy of it are the two n x n float64 arrays alive at once. The
+    CLI takes its oracle from the power method; this solve is the tests'
+    reference.
     """
-    import scipy.linalg as la  # here, so that no CLI command loads LAPACK
-
-    if y is None:
-        y = rows.y
-    if y is None:
-        raise ValueError("rows carry no target; pass y explicitly")
-    h = rows.csr.toarray()
-    gram = h.T @ h
-    rhs = h.T @ np.full(rows.n, y)
-    del h
-    try:
-        cho = la.cho_factor(gram.T, overwrite_a=True)
-    except la.LinAlgError as exc:
-        raise ValueError("Gram matrix is not positive definite") from exc
-    x = la.cho_solve(cho, rhs)
-    res = y - rows.csr @ x
-    return LsSolution(x=x, residual=float(res @ res))
+    if rows.y is None:
+        raise ValueError("rows carry no target: the network size is withheld")
+    return LsSolution(x=np.linalg.solve(rows.csr.toarray(),
+                                        np.full(rows.n, rows.y)))
 
 
 def power_method(w, m, tol=1e-12, max_iter=10_000):
@@ -185,8 +168,7 @@ def power_method(w, m, tol=1e-12, max_iter=10_000):
     for it in range(1, max_iter + 1):
         x_new = apply_google_matrix(w, m, x)
         if np.abs(x_new - x).sum() < tol:
-            return LsSolution(x=x_new, residual=float(np.abs(x_new - x).sum()),
-                              iterations=it)
+            return LsSolution(x=x_new, iterations=it)
         x = x_new
     raise RuntimeError(f"power method did not converge in {max_iter} iterations")
 

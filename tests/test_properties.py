@@ -65,9 +65,10 @@ def test_native_oracles_equal_python_loops_bit_for_bit(g):
     assert np.array_equal(_native.bfs_all_pairs(lib, g), _loop_all_pairs(g))
 
 
-# edge-list labels: printable ASCII without blanks and the comment sign
+# edge-list labels: printable ASCII without blanks, the comment sign and
+# the comma, which the parsers reject
 _labels = st.text(st.characters(min_codepoint=33, max_codepoint=126,
-                                blacklist_characters="#"), min_size=1, max_size=3)
+                                blacklist_characters="#,"), min_size=1, max_size=3)
 
 
 def _labeled_edges(g):
