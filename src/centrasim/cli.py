@@ -155,11 +155,11 @@ def cmd_pagerank(text, cfg):
 
     mode = cfg["mode"]
     out = {}
+    rows = rows_from_graph(g, m)
     if mode == "dist":
-        rows_diag = rows_from_graph(g, m, n_known=True)
         sim = simulator.run_simulation(
             g, m, chain, cfg["iterations"], trace_stride=cfg["trace_stride"],
-            oracle_x=oracle_x, rows_diag=rows_diag)
+            oracle_x=oracle_x, rows_diag=rows)
         if sim.audit.violations(sim.actors):
             raise ConsistencyError("locality audit found non-neighbor accesses")
         x = simulator.assemble_vector(sim.actors)
@@ -171,10 +171,8 @@ def cmd_pagerank(text, cfg):
                 f"{g.labels[i]},{'absent' if est is None else tables.format_value(est)}")
         out["size_estimates.csv"] = "\n".join(size_lines) + "\n"
     else:
-        rows = rows_from_graph(g, m, n_known=(mode == "known-n"))
         res = engine.run(rows, chain, mode, cfg["iterations"],
-                         trace_stride=cfg["trace_stride"], oracle_x=oracle_x,
-                         residual_target=m / g.n)
+                         trace_stride=cfg["trace_stride"], oracle_x=oracle_x)
         x = res.state.x
         trace_rows = res.trace_rows
 

@@ -14,17 +14,20 @@ starting from x(0) = 0, and the modes differ only in a, y and the rows:
 
 The unknown-size form never reads the network size anywhere; the
 visit-frequency stepsize converges to 1/n on its own, and its inverse
-doubles as a per-node network-size estimate. The node-actor simulator calls
-the same project on the values it pulls.
+doubles as a per-node network-size estimate. No step reads the rows'
+target y either: known size takes m/n from the rows' m and n. The
+node-actor simulator calls the same project on the values it pulls.
 
 One driver, drive, runs the engine's loops and the simulator's: it hands
-the steps up to the next trace row to a block callable, then traces. The
-Python block, step_loop, samples and steps once per activation. The
-engine's modes run their blocks in the compiled library instead
-(``_native.Steps``) when it and numpy's BLAS ddot load, on the first
-block; those steps do the same float operations in the same order, so
-both give the same bits, and the Python block is the no-compiler path
-and the reference. The simulator always runs the Python block.
+the steps up to the next trace row to a block callable, then traces, and
+asks the run for the inverse stepsize only there. The engine's modes step
+through one contract, steps(rows, count) -> last node, on one of two
+paths chosen at the first block: the compiled library's steps
+(``_native.Steps``) when it and numpy's BLAS ddot load, else the Python
+twin, which samples and steps once per activation. Both do the same float
+operations in the same order and give the same bits; the twin is the
+no-compiler path and the reference. The simulator runs its own Python
+block of activations.
 """
 from __future__ import annotations
 
@@ -65,6 +68,13 @@ class KaczmarzState:
             x=np.zeros(n), mode=mode, visits=np.zeros(n, dtype=np.int64)
         )
 
+    def alpha_inv(self, s):
+        """Inverse stepsize of the last step, taken at node s: n for known
+        size, else 1 / (visits[s] / k), the visit frequency that step used."""
+        if self.mode == "known-n":
+            return float(self.x.size)
+        return 1.0 / (self.visits[s] / self.k)
+
 
 def project(xs, coef, target, alpha):
     """One Kaczmarz projection of the values xs on the row coef."""
@@ -80,7 +90,7 @@ def _project_row(state, s, rows, target, alpha):
 def step_known_n(state, s, rows):
     """One Kaczmarz projection with the exact 1/n stepsize and m/n target."""
     state.visits[s] += 1
-    _project_row(state, s, rows, rows.y, 1.0 / rows.n)
+    _project_row(state, s, rows, rows.m / rows.n, 1.0 / rows.n)
     return state
 
 
@@ -105,76 +115,63 @@ def step_temporal(state, s, rows):
     return state, alpha
 
 
-def step_loop(sample, step):
-    """The Python block: each of `count` activations is one sample() and
-    one step(s), which returns the inverse stepsize. Returns the last
-    activation's inverse stepsize and node."""
-    def block(count):
+def _python_steps(state, chain):
+    """The Python twin of ``_native.Steps``: steps(rows, count) samples and
+    steps `count` times on the rows and returns the last node activated.
+    The step function is looked up here, when the first block runs."""
+    step = {"known-n": step_known_n, "unknown-n": step_unknown_n,
+            "temporal": step_temporal}[state.mode]
+    sample = chain.sample_next
+
+    def steps(rows, count):
         for _ in range(count):
             s = sample()
-            alpha_inv = step(s)
-        return alpha_inv, s
-    return block
+            step(state, s, rows)
+        return s
+    return steps
 
 
-def _engine_block(state, chain, rows_of, python_block):
-    """Block callable of the engine's modes. At its first call it takes the
-    compiled steps, if the library and numpy's ddot load, and python_block
-    otherwise; rows_of() gives the rows the next block runs on."""
+def _engine_steps(state, chain):
+    """steps(rows, count) for the engine's modes. At the first block it
+    takes the library's steps if the library and numpy's ddot load, and
+    the Python twin otherwise."""
     chosen = None
 
-    def block(count):
+    def steps(rows, count):
         nonlocal chosen
         if chosen is None:
-            chosen = _compiled_block(state, chain, rows_of) or python_block
-        return chosen(count)
-    return block
+            lib = _native.load()
+            addr = _native.ddot() if lib is not None else None
+            chosen = (_python_steps(state, chain) if addr is None
+                      else _native.Steps(lib, addr, state, chain))
+        return chosen(rows, count)
+    return steps
 
 
-def _compiled_block(state, chain, rows_of):
-    """The library's block of steps, or None without the library or ddot."""
-    lib = _native.load()
-    addr = _native.ddot() if lib is not None else None
-    if addr is None:
-        return None
-    steps = _native.Steps(lib, addr, state, chain)
-    known = state.mode == "known-n"
-
-    def block(count):
-        rows = rows_of()
-        s = steps(rows, count)
-        if known:
-            return float(rows.n), s
-        # the last step's alpha was visits[s] / k, k counting that step
-        return 1.0 / (state.visits[s] / state.k), s
-    return block
-
-
-def drive(block, vector, budget, trace_stride, oracle_x=None, rows_diag=None,
-          y_diag=None):
+def drive(block, vector, alpha_inv, budget, trace_stride, oracle_x=None,
+          rows_diag=None):
     """Run `budget` activations in blocks, one per trace row; return the
     trace rows.
 
-    block(count) runs the next `count` activations and returns the inverse
-    stepsize and the node of the last one; vector() returns the current
-    iterate. A trace row is recorded every `trace_stride` steps: error
-    against the oracle vector (when given), the stacked-residual diagnostic
-    against rows_diag (when given; y_diag overrides its target), the
-    inverse stepsize and the active node.
+    block(count) runs the next `count` activations and returns the node of
+    the last one; vector() returns the current iterate and alpha_inv(s)
+    the last step's inverse stepsize. A trace row is recorded every
+    `trace_stride` steps: error against the oracle vector (when given),
+    the stacked-residual diagnostic against rows_diag and its target
+    rows_diag.y (when given), the inverse stepsize and the active node.
     """
     trace_rows = []
     k = 0
     while k < budget:
         count = min(trace_stride, budget - k)
-        alpha_inv, s = block(count)
+        s = block(count)
         k += count
         if k % trace_stride == 0:
             x = vector()
             err = (float(np.abs(x - oracle_x).max())
                    if oracle_x is not None else None)
-            res = (ls_objective(x, rows_diag, y=y_diag)
-                   if rows_diag is not None else None)
-            trace_rows.append(format_trace_row(k, err, res, alpha_inv, s))
+            res = ls_objective(x, rows_diag) if rows_diag is not None else None
+            trace_rows.append(format_trace_row(k, err, res, alpha_inv(s), s))
     return trace_rows
 
 
@@ -184,26 +181,17 @@ class EngineRun:
     trace_rows: list
 
 
-def run(rows, chain, mode, budget, trace_stride=100, oracle_x=None,
-        residual_target=None):
+def run(rows, chain, mode, budget, trace_stride=100, oracle_x=None):
     """Drive sampling plus stepping for `budget` activations.
 
-    The residual diagnostic uses residual_target, else the rows' own
-    target, and is left out when neither is known.
+    The residual diagnostic is traced when the rows carry their target y;
+    no step reads it.
     """
     state = KaczmarzState.fresh(rows.n, mode)
-    if mode == "known-n":
-        def step(s):
-            step_known_n(state, s, rows)
-            return float(rows.n)
-    else:
-        def step(s):
-            return 1.0 / step_unknown_n(state, s, rows)[1]
-    block = _engine_block(state, chain, lambda: rows,
-                          step_loop(chain.sample_next, step))
-    has_target = residual_target is not None or rows.y is not None
-    trace_rows = drive(block, lambda: state.x, budget, trace_stride, oracle_x,
-                       rows if has_target else None, residual_target)
+    steps = _engine_steps(state, chain)
+    trace_rows = drive(lambda count: steps(rows, count), lambda: state.x,
+                       state.alpha_inv, budget, trace_stride, oracle_x,
+                       rows if rows.y is not None else None)
     return EngineRun(state=state, trace_rows=trace_rows)
 
 
@@ -226,12 +214,7 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
         return build_regression_rows(pa.wbar_rows(), m, n_known=False)
 
     active, rows = 0, enter(0)
-
-    def step(s):
-        return 1.0 / step_temporal(state, s, rows)[1]
-
-    steps = _engine_block(state, chain, lambda: rows,
-                          step_loop(chain.sample_next, step))
+    steps = _engine_steps(state, chain)
 
     def block(count):
         nonlocal active, rows
@@ -242,9 +225,10 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
                 chain.set_matrix(kernels[active])
             take = count if active == last else \
                 min(count, (active + 1) * snapshot_stride - state.k)
-            out = steps(take)
+            s = steps(rows, take)
             count -= take
-        return out
+        return s
 
-    trace_rows = drive(block, lambda: state.x, budget, trace_stride, oracle_x)
+    trace_rows = drive(block, lambda: state.x, state.alpha_inv, budget,
+                       trace_stride, oracle_x)
     return EngineRun(state=state, trace_rows=trace_rows)

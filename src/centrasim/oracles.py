@@ -45,8 +45,10 @@ class RegressionRows:
     same positions of data: i itself (the diagonal), then its sorted
     in-neighbor columns. The compiled engine steps read the flat arrays;
     idx and coef are their per-row views, built on first read. y is the
-    common target m/n, or None when the network size is withheld (the
-    unknown-size engine supplies its own running estimate).
+    common target m/n, or None when the network size is withheld. No
+    engine step reads y (known size takes m/n from m and n, unknown size
+    its own running estimate); only the residual diagnostic, ls_objective,
+    and the reference solve, direct_ls_solve, do.
     """
 
     n: int
@@ -128,16 +130,16 @@ def rows_from_graph(g, m, n_known=True):
                      -(1.0 - m) / outdeg[cols], n_known)
 
 
-def ls_objective(x, rows, y=None):
-    """Sum of squared residuals of the stacked regression; zero at PageRank."""
+def ls_objective(x, rows):
+    """Sum of squared residuals of the stacked regression against the rows'
+    target y; zero at PageRank. Rows built without the network size carry
+    no target and have no residual."""
     x = np.asarray(x, dtype=float)
     if x.shape != (rows.n,):
         raise ValueError(f"vector has shape {x.shape}, expected ({rows.n},)")
-    if y is None:
-        y = rows.y
-    if y is None:
-        raise ValueError("rows carry no target; pass y explicitly")
-    r = y - rows.csr @ x
+    if rows.y is None:
+        raise ValueError("rows carry no target: the network size is withheld")
+    r = rows.y - rows.csr @ x
     return float(r @ r)
 
 

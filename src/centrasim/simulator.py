@@ -4,12 +4,13 @@ Each page owns its own importance value and a condensed row over its
 in-neighbors. An activation pulls the neighbors' current values, applies
 the engine's own project to them, and pushes the changed values back; the
 activation token carries the global counter so nobody needs a clock. The
-engine's drive runs the sample/activate/trace loop through its Python
-block, step_loop, so engine and simulator traces agree bit for bit by
-construction. The locality audit stores each distinct footprint (actor,
-ids read, ids written) once and, per activation, only that footprint's
-id, one byte while there are at most 256 footprints, so tests can prove
-that an activation of s touches nothing outside s and its in-neighbors.
+engine's drive runs the simulator's own block of sample/activate steps and
+traces it by the engine's rules, so engine and simulator traces agree bit
+for bit by construction. The locality audit stores each distinct
+footprint (actor, ids read, ids written) once and, per activation, only
+that footprint's id, one byte while there are at most 256 footprints, so
+tests can prove that an activation of s touches nothing outside s and its
+in-neighbors.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import drive, project, step_loop
+from .engine import drive, project
 
 
 @dataclass
@@ -149,21 +150,27 @@ def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
                    rows_diag=None):
     """Token-passing loop over the surfer's activation sequence.
 
-    Emits the same trace format as the centralized engine; with identical
-    graph, seed and schedule the traces are bit-identical.
+    Emits the same trace format as the centralized engine, its residual
+    against rows_diag and their target y when given; with identical graph,
+    seed and schedule the traces are bit-identical.
     """
     actors = init_nodes(g, m)
     token = ActivationToken()
     audit = LocalityAudit()
     last_k = {}  # actor -> token value at its latest activation
+    sample = chain.sample_next
 
-    def step(s):
-        last_k[s] = token.k
-        return 1.0 / activate(actors, token, s, audit=audit)
+    def block(count):
+        for _ in range(count):
+            s = sample()
+            last_k[s] = token.k
+            activate(actors, token, s, audit=audit)
+        return s
 
-    trace_rows = drive(step_loop(chain.sample_next, step),
-                       lambda: assemble_vector(actors), budget, trace_stride,
-                       oracle_x, rows_diag)
+    # the last step's alpha was visit_count / k, k counting that step
+    trace_rows = drive(block, lambda: assemble_vector(actors),
+                       lambda s: 1.0 / (actors[s].visit_count / token.k),
+                       budget, trace_stride, oracle_x, rows_diag)
     size_estimates = {s: estimate_network_size(actors[s], k)
                       for s, k in last_k.items()}
     return SimulationRun(actors=actors, token=token, trace_rows=trace_rows,

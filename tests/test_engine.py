@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from centrasim import _native
 from centrasim.engine import (KaczmarzState, format_trace_row, run,
                               run_temporal, step_known_n, step_temporal,
                               step_unknown_n, TRACE_HEADER)
@@ -97,12 +98,26 @@ class TestUnknownN:
         _, a3 = step_unknown_n(state, 0, rows)
         assert a3 == pytest.approx(1 / 3)
 
-    def test_never_reads_network_size(self, fig1):
-        rows = rows_from_graph(fig1, m=0.15, n_known=False)
-        assert rows.y is None
-        # the run only needs the rows and the chain; no n-dependent target
-        out = run(rows, _chain(fig1, 0.0, seed=5), "unknown-n", budget=2_000)
-        assert out.state.k == 2_000
+    def test_never_reads_network_size(self, fig1, monkeypatch):
+        # no step reads the rows' target y: rows with and without it give
+        # the same bits in both modes, on the compiled steps (where they
+        # load) and on the Python twin
+        with_y = rows_from_graph(fig1, m=0.15)
+        without_y = rows_from_graph(fig1, m=0.15, n_known=False)
+        assert without_y.y is None
+        for mode in ("known-n", "unknown-n"):
+            states = []
+            for twin in (False, True):
+                if twin:
+                    monkeypatch.setattr(_native, "load", lambda: None)
+                for rows in (with_y, without_y):
+                    states.append(run(rows, _chain(fig1, 0.15, seed=5), mode,
+                                      budget=2_000).state)
+            monkeypatch.undo()
+            for st in states:
+                assert st.k == 2_000
+                assert st.x.tobytes() == states[0].x.tobytes()
+                assert st.visits.tobytes() == states[0].visits.tobytes()
 
     def test_fifty_node_random_graph(self):
         # the mass mode decays like exp(-m^2 k / n^2): ~4e5 steps at n=50

@@ -249,7 +249,8 @@ import sys
 import numpy as np
 
 from centrasim import _native, engine
-from centrasim.graph import symmetrize
+from centrasim.graph import DirectedGraph, repair_dangling, symmetrize
+from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
 from centrasim.oracles import _loop_all_pairs, _loop_betweenness, rows_from_graph
 from centrasim.surfer import SurferChain, _metropolis_hastings
 
@@ -258,25 +259,47 @@ with open(sys.argv[2], "rb") as fh:
     graphs = pickle.load(fh)
 
 
+def outcome(out, chain):
+    return (out.state.x.tobytes(), out.state.visits.tobytes(), out.trace_rows,
+            chain.current, chain._rng.bit_generator.state)
+
+
 def run(g, mode, omega, stride, library):
     _native.load = lambda: library
     chain = SurferChain(matrix=_metropolis_hastings(symmetrize(g)),
                         omega=omega, seed=g.n)
     out = engine.run(rows_from_graph(g, 0.15, n_known=mode == "known-n"),
                      chain, mode, 700, trace_stride=stride)
-    return (out.state.x.tobytes(), out.state.visits.tobytes(), out.trace_rows,
-            chain.current, chain._rng.bit_generator.state)
+    return outcome(out, chain)
 
 
-# without numpy's ddot both runs would take the Python steps
-cases = [("known-n", 0.0, 256), ("unknown-n", 0.15, 97)] if _native.ddot() else []
+def run_temporal(g, library):
+    # g and its reverse, repaired, twice over, on one kernel: only the rows
+    # change, at k = 150, 300 and 450, inside the chain's blocks of 256 steps
+    _native.load = lambda: library
+    reverse = DirectedGraph.from_edges(g.n, [(b, a) for a, b in g.edges])
+    snaps = [repair_dangling(h, "uniform-column") for h in (g, reverse)] * 2
+    kernel = _metropolis_hastings(symmetrize(g))
+    chain = SurferChain(matrix=kernel, omega=0.15, seed=g.n)
+    out = engine.run_temporal([build_hyperlink_matrix(h) for h in snaps],
+                              [kernel] * 4, chain, PersistentAverage(rho=0.9),
+                              0.15, 700, 150, trace_stride=97)
+    return outcome(out, chain)
+
+
+# without numpy's ddot both runs would take the Python steps; a single
+# node has no repair, so no temporal case
+cases = [(run, "known-n", 0.0, 256), (run, "unknown-n", 0.15, 97),
+         (run_temporal,)] if _native.ddot() else []
+runs = 0
 for name, g in graphs:
     assert np.array_equal(_native.brandes(lib, g), _loop_betweenness(g)), name
     assert np.array_equal(_native.bfs_all_pairs(lib, g), _loop_all_pairs(g)), name
-    for mode, omega, stride in cases:
-        assert run(g, mode, omega, stride, lib) == \
-            run(g, mode, omega, stride, None), (name, mode)
-print(len(graphs), len(graphs) * len(cases))
+    for fn, *args in cases[:3 if g.n > 1 else 2]:
+        assert fn(g, *args, lib) == fn(g, *args, None), \
+            (name, fn.__name__, *args)
+        runs += 1
+print(len(graphs), runs)
 """
 
 
@@ -321,5 +344,5 @@ def test_loops_run_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, \
         proc.stderr
-    runs = 2 * len(graphs) if _native.ddot() else 0
+    runs = sum(3 if g.n > 1 else 2 for _, g in graphs) if _native.ddot() else 0
     assert proc.stdout.split() == [str(len(graphs)), str(runs)]

@@ -22,7 +22,8 @@ from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa
 from centrasim.oracles import (_loop_all_pairs, _loop_betweenness,  # noqa: E402
                                bfs_all_pairs, build_regression_rows,
                                direct_ls_solve, rows_from_graph)
-from centrasim.simulator import LocalityAudit, init_nodes  # noqa: E402
+from centrasim.simulator import (LocalityAudit, assemble_vector,  # noqa: E402
+                                 init_nodes, run_simulation)
 from centrasim.surfer import SurferChain, _metropolis_hastings  # noqa: E402
 
 from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, \
@@ -302,14 +303,14 @@ _omegas = st.sampled_from([0.0, 0.15, 1.0])
        st.integers(1, 700), st.integers(0, 1500), st.integers(0, 2**32 - 1))
 def test_compiled_steps_equal_python_step_loop(g, mode, omega, stride, budget,
                                                seed):
-    rows = rows_from_graph(g, 0.15, n_known=mode == "known-n")
+    rows = rows_from_graph(g, 0.15)
     kernel = _metropolis_hastings(symmetrize(g))
     oracle = np.full(g.n, 1.0 / g.n)
 
     def run_once():
         chain = SurferChain(matrix=kernel, omega=omega, seed=seed)
         return run(rows, chain, mode, budget, trace_stride=stride,
-                   oracle_x=oracle, residual_target=0.15 / g.n), chain
+                   oracle_x=oracle), chain
 
     compiled, python = _both_paths(run_once)
     _assert_same_run(compiled, python)
@@ -336,6 +337,31 @@ def test_compiled_temporal_steps_equal_python_step_loop(
     _assert_same_run(compiled, python)
     # the compiled steps read the kernel arrays: no list copy was built
     assert not lists_built[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(dense50_graph(), 0.15, 7, 1500, 2)
+@given(digraphs(), _omegas, st.integers(1, 700), st.integers(0, 1500),
+       st.integers(0, 2**32 - 1))
+def test_simulator_equals_unknown_n_engine(g, omega, stride, budget, seed):
+    """The node-actor simulator and the unknown-size engine give the same
+    trace rows, residual column included, and the same vector, bit for
+    bit."""
+    rows = rows_from_graph(g, 0.15)
+    kernel = _metropolis_hastings(symmetrize(g))
+    oracle = np.full(g.n, 1.0 / g.n)
+
+    def chain():
+        return SurferChain(matrix=kernel, omega=omega, seed=seed)
+
+    sim = run_simulation(g, 0.15, chain(), budget, trace_stride=stride,
+                         oracle_x=oracle, rows_diag=rows)
+    eng = run(rows, chain(), "unknown-n", budget, trace_stride=stride,
+              oracle_x=oracle)
+    assert sim.trace_rows == eng.trace_rows
+    assert len(sim.trace_rows) == budget // stride
+    assert all(row.split(",")[2] != "nan" for row in sim.trace_rows)
+    assert assemble_vector(sim.actors).tobytes() == eng.state.x.tobytes()
 
 
 class ReferenceAudit:

@@ -7,6 +7,7 @@ the per-step calls of that command were counted and that the command and
 its per-layer calls were traced. The engine's per-step calls run only on
 its Python step loop, so the stepping cases run with no C compiler on
 PATH; the compiled cases check the spans and counts a compiled run keeps.
+The centrality case checks the level-set spans and the round count.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from centrasim import _native
+from centrasim.graph import parse_edge_list
+from centrasim.levelsets import run_levelset
 
 from conftest import FIG1_TEXT, HAVE_CC
 
@@ -35,6 +38,9 @@ CASES = {
     "temporal": (["pagerank-temporal", "seq.txt", "--snapshot-stride", "500"],
                  ["engine.step_temporal", "PersistentAverage.update",
                   "PersistentAverage.wbar_rows"], [], True),
+    "centrality": (["centrality", "fig1.txt"], [],
+                   ["levelsets.run_levelset",
+                    "levelsets.closeness_centrality"], False),
     "oracle": (["oracle", "fig1.txt"], [],
                ["matrix.build_hyperlink_matrix", "oracles.power_method",
                 "oracles.build_regression_rows", "oracles.brandes_betweenness",
@@ -81,3 +87,7 @@ def test_traced_cli_counts_per_step_calls(case, tmp_path):
     traced_spans = {s["name"] for s in traced["spans"]}
     for name in (span, *spans):
         assert name in traced_spans, f"{name} not traced"
+    if case == "centrality":
+        # one round per level of the deepest level set
+        assert traced["counts"]["levelsets.rounds"] == \
+            run_levelset(parse_edge_list(FIG1_TEXT)).t_max
