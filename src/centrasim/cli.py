@@ -8,6 +8,8 @@ failed locality audit.
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -282,9 +284,38 @@ def build_parser():
     return parser
 
 
+def _write_tables(outdir, outputs):
+    """Write every table or none: each goes to a new temporary file in
+    outdir, and the temporaries replace their targets only once all of
+    them are written. A target that is a directory is refused first."""
+    temps = []
+    try:
+        for name in outputs:
+            if (outdir / name).is_dir():
+                raise IsADirectoryError(f"{outdir / name} is a directory")
+        for name, table in outputs.items():
+            for i in itertools.count():
+                tmp = outdir / f".{name}.{i}.tmp"
+                try:
+                    fh = open(tmp, "x")
+                except FileExistsError:
+                    continue
+                break
+            temps.append(tmp)
+            with fh:
+                fh.write(table)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink()
+        raise
+    for tmp, name in zip(temps, outputs):
+        os.replace(tmp, outdir / name)
+
+
 def main(argv=None):
     """Run one command, which returns {file name: table text}, and write its
-    tables; a failed run writes none and removes the directories it made."""
+    tables; a failed run writes none, leaves every file it does not write
+    as it was and removes the directories it made."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -301,13 +332,11 @@ def main(argv=None):
                 if not d.is_dir():
                     d.mkdir()
                     created.append(d)
-            outputs = args.func(text, cfg)
+            _write_tables(outdir, args.func(text, cfg))
         except BaseException:
-            for d in reversed(created):  # leaf first; nothing is written yet
+            for d in reversed(created):  # leaf first; nothing is written
                 d.rmdir()
             raise
-        for name, table in outputs.items():
-            (outdir / name).write_text(table)
         return 0
     except AssumptionError as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)

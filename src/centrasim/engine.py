@@ -77,8 +77,13 @@ class KaczmarzState:
 
 
 def project(xs, coef, target, alpha):
-    """One Kaczmarz projection of the values xs on the row coef."""
-    return xs + alpha * coef * (target - coef @ xs)
+    """One Kaczmarz projection of the values xs on the row coef:
+    xs + alpha * coef * (target - coef @ xs), computed in place on one
+    new array, by the same float operations in the same order."""
+    u = coef * alpha
+    u *= target - coef @ xs
+    u += xs
+    return u
 
 
 def _project_row(state, s, rows, target, alpha):

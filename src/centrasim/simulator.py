@@ -1,16 +1,18 @@
 """Node-actor realization of the unknown-size PageRank iteration.
 
-Each page owns its own importance value and a condensed row over its
-in-neighbors. An activation pulls the neighbors' current values, applies
-the engine's own project to them, and pushes the changed values back; the
-activation token carries the global counter so nobody needs a clock. The
-engine's drive runs the simulator's own block of sample/activate steps and
-traces it by the engine's rules, so engine and simulator traces agree bit
-for bit by construction. The locality audit stores each distinct
-footprint (actor, ids read, ids written) once and, per activation, only
-that footprint's id, one byte while there are at most 256 footprints, so
-tests can prove that an activation of s touches nothing outside s and its
-in-neighbors.
+Each page is an actor with a condensed row over its in-neighbors. The
+actors' values live in one float64 array that the run owns: actor i owns
+slot i. Each actor keeps an index window, itself then its in-neighbors,
+built once; an activation pulls the window's values in one gather, applies
+the engine's own project to them, and pushes the new values back in one
+scatter. The activation token carries the global counter so nobody needs a
+clock. The engine's drive runs the simulator's own block of
+sample/activate steps and traces it by the engine's rules, so engine and
+simulator traces agree bit for bit by construction. The locality audit
+stores each distinct footprint (actor, window) once and, per activation,
+only that footprint's id, one byte while there are at most 256 footprints,
+so tests can prove that an activation of s touches nothing outside s and
+its in-neighbors.
 """
 from __future__ import annotations
 
@@ -28,14 +30,21 @@ class NodeActor:
     in_nbrs: np.ndarray        # sorted in-neighbor ids
     coef: np.ndarray           # condensed row: [self] + in-neighbor coefficients
     m: float
-    own_value: float = 0.0
     visit_count: int = 0
-    reads: tuple = field(init=False)   # in_nbrs as Python ints: pulled from
-    writes: tuple = field(init=False)  # (id, *reads): pushed back to
+    window: np.ndarray = field(init=False)  # (id, *in_nbrs) as intp: the
+                                            # slots pulled from and pushed to
 
     def __post_init__(self):
-        self.reads = tuple(self.in_nbrs.tolist())
-        self.writes = (self.id, *self.reads)
+        self.window = np.concatenate(([self.id], self.in_nbrs)).astype(np.intp)
+
+
+class Actors(list):
+    """The actors in id order, and `values`, the one array of their values:
+    actor i owns slot i."""
+
+    def __init__(self, actors, values):
+        super().__init__(actors)
+        self.values = values
 
 
 @dataclass
@@ -49,13 +58,14 @@ _WIDER = {"B": "H", "H": "Q"}
 
 @dataclass
 class LocalityAudit:
-    """Per activation, the footprint (actor, reads, writes) it touched.
+    """Per activation, the footprint (actor, window) it touched.
 
-    footprints maps each distinct footprint to its id, so an honest run
-    stores at most one per actor. events holds every activation's footprint
-    id in record order, in the narrowest unsigned item that fits (one byte
-    up to 256 footprints). A token value k is stored only where it is not
-    the previous event's plus one: jumps maps that event's index to its k.
+    footprints maps each distinct footprint, keyed by the window's bytes,
+    to its id, so an honest run stores at most one per actor. events holds
+    every activation's footprint id in record order, in the narrowest
+    unsigned item that fits (one byte up to 256 footprints). A token value
+    k is stored only where it is not the previous event's plus one: jumps
+    maps that event's index to its k.
     """
 
     footprints: dict = field(default_factory=dict)
@@ -63,8 +73,10 @@ class LocalityAudit:
     jumps: dict = field(default_factory=dict)
     next_k: int = 0
 
-    def record(self, k, s, reads, writes):
-        key = (s, tuple(reads), tuple(writes))
+    def record(self, k, s, window):
+        """Record that activation k of actor s read and wrote the ids of
+        `window`, an intp array."""
+        key = (s, window.tobytes())
         fid = self.footprints.setdefault(key, len(self.footprints))
         if k != self.next_k:
             self.jumps[len(self.events)] = k
@@ -79,9 +91,9 @@ class LocalityAudit:
         """(k, actor, sorted foreign ids) for every event that touched an id
         outside the actor and its in-neighbors, in record order."""
         foreign = {}
-        for (s, reads, writes), fid in self.footprints.items():
+        for (s, window), fid in self.footprints.items():
             allowed = set(actors[s].in_nbrs.tolist()) | {s}
-            touched = set(reads) | set(writes)
+            touched = set(np.frombuffer(window, dtype=np.intp).tolist())
             if not touched <= allowed:
                 foreign[fid] = (s, sorted(touched - allowed))
         if not foreign:
@@ -96,31 +108,25 @@ class LocalityAudit:
 
 
 def init_nodes(g, m):
-    """One actor per page; each row built from its own in-neighbor list."""
+    """One actor per page; each row built from its own in-neighbor list.
+    Every value starts at 0."""
     from .oracles import rows_from_graph
 
     rows = rows_from_graph(g, m, n_known=False)
-    actors = []
-    for i in range(g.n):
-        nbrs = rows.idx[i][1:]
-        actors.append(NodeActor(id=i, in_nbrs=nbrs, coef=rows.coef[i], m=m))
-    return actors
+    return Actors([NodeActor(id=i, in_nbrs=rows.idx[i][1:], coef=rows.coef[i],
+                             m=m) for i in range(g.n)], np.zeros(g.n))
 
 
 def activate(actors, token, s, audit=None):
     """Run one activation of actor s; returns the new stepsize alpha."""
     actor = actors[s]
-    reads, writes = actor.reads, actor.writes
-    # pull phase: every in-neighbor sends its current value
-    pulled = np.array([actor.own_value, *[actors[j].own_value for j in reads]])
+    window, values = actor.window, actors.values
     actor.visit_count += 1
     alpha = actor.visit_count / (token.k + 1)
-    updated = project(pulled, actor.coef, actor.m * alpha, alpha)
-    # push phase: changed values return to their owners
-    for j, value in zip(writes, updated.tolist()):
-        actors[j].own_value = value
+    # pull the window's values, project, push the new values back
+    values[window] = project(values[window], actor.coef, actor.m * alpha, alpha)
     if audit is not None:
-        audit.record(token.k, s, reads, writes)
+        audit.record(token.k, s, window)
     token.k += 1
     return alpha
 
@@ -134,12 +140,12 @@ def estimate_network_size(actor, token_k):
 
 def assemble_vector(actors):
     """Global vector, reporting convenience only (not part of the protocol)."""
-    return np.array([a.own_value for a in actors])
+    return actors.values.copy()
 
 
 @dataclass
 class SimulationRun:
-    actors: list
+    actors: Actors
     token: ActivationToken
     trace_rows: list
     audit: LocalityAudit

@@ -15,7 +15,8 @@ from centrasim.matrix import build_hyperlink_matrix
 from centrasim.oracles import LsSolution, build_regression_rows, direct_ls_solve
 from centrasim.tables import serialize_centrality
 
-from conftest import DANGLING_TEXT, FIG1_TEXT, TEMPORAL_TEXT, read_table
+from conftest import DANGLING_TEXT, FIG1_TEXT, TEMPORAL_TEXT, dense50_graph, \
+    read_table, serialize_edge_list
 from test_acceptance import weblike_graph
 
 TABLE1 = {
@@ -105,17 +106,27 @@ class TestPagerank:
         assert trace[0] == "k,error,residual,alpha_inv,active_node"
         assert len(trace) == 1 + 1000  # stride 100 over 1e5 steps
 
-    def test_dist_mode_matches_engine(self, fig1_file, tmp_path):
+    @pytest.mark.parametrize("graph,n,flags", [
+        ("fig1", 6, ["--omega", "0", "--iterations", "20000", "--seed", "5"]),
+        ("dense50", 50, ["--omega", "0.15", "--iterations", "30000",
+                         "--seed", "2"]),
+    ], ids=["fig1", "dense50"])
+    def test_dist_mode_matches_engine(self, tmp_path, graph, n, flags):
+        path = tmp_path / "in.txt"
+        path.write_text(FIG1_TEXT if graph == "fig1"
+                        else serialize_edge_list(dense50_graph()))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["pagerank", str(fig1_file), "--mode", "unknown-n", "--omega", "0",
-              "--iterations", "20000", "--seed", "5", "--output-dir", str(out_a)])
-        main(["pagerank", str(fig1_file), "--mode", "dist", "--omega", "0",
-              "--iterations", "20000", "--seed", "5", "--output-dir", str(out_b)])
-        assert (out_a / "trace.csv").read_text() == (out_b / "trace.csv").read_text()
+        assert main(["pagerank", str(path), "--mode", "unknown-n", *flags,
+                     "--output-dir", str(out_a)]) == 0
+        assert main(["pagerank", str(path), "--mode", "dist", *flags,
+                     "--output-dir", str(out_b)]) == 0
+        assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
+        eng, dist = _read(out_a, "vector.csv"), _read(out_b, "vector.csv")
+        assert eng[0] == dist[0] and eng[1].tobytes() == dist[1].tobytes()
         sizes = (out_b / "size_estimates.csv").read_text().splitlines()
         assert sizes[0] == "# kind=size_estimate"
         est = [float(line.split(",")[1]) for line in sizes[1:]]
-        assert np.abs(np.array(est) - 6).max() < 1.0
+        assert np.abs(np.array(est) - n).max() < n / 6
 
     def test_deterministic_outputs(self, fig1_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -259,6 +270,34 @@ class TestPagerank:
                    "--iterations", "200", "--output-dir", str(out)])
         assert rc == 3
         assert list(out.iterdir()) == []
+
+    def test_failed_write_leaves_no_table(self, fig1_file, tmp_path, capsys):
+        """A table that cannot be written (its target is a directory) fails
+        the run before any table is written; other files stay as they were
+        and no temporary file is left."""
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        (out / "vector.csv").write_text("old\n")
+        rc = main(["pagerank", str(fig1_file), "--mode", "dist",
+                   "--iterations", "200", "--output-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trace.csv" in err
+        assert sorted(p.name for p in out.iterdir()) == ["trace.csv", "vector.csv"]
+        assert list((out / "trace.csv").iterdir()) == []
+        assert (out / "vector.csv").read_text() == "old\n"
+
+    def test_failed_write_removes_new_directories(self, fig1_file, tmp_path,
+                                                  monkeypatch):
+        """A table that fails midway through the writes (it cannot be
+        encoded) leaves neither the tables written before it nor the
+        directories the run made."""
+        monkeypatch.setattr(cli, "cmd_oracle",
+                            lambda text, cfg: {"a.csv": "a\n", "b.csv": "\udcff"})
+        rc = main(["oracle", str(fig1_file), "--output-dir",
+                   str(tmp_path / "new" / "out")])
+        assert rc == 1
+        assert not (tmp_path / "new").exists()
 
     def test_out_of_memory_exit_1(self, fig1_file, tmp_path, monkeypatch,
                                   capsys):

@@ -22,8 +22,9 @@ from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa
 from centrasim.oracles import (_loop_all_pairs, _loop_betweenness,  # noqa: E402
                                bfs_all_pairs, build_regression_rows,
                                direct_ls_solve, rows_from_graph)
-from centrasim.simulator import (LocalityAudit, assemble_vector,  # noqa: E402
-                                 init_nodes, run_simulation)
+from centrasim.simulator import (ActivationToken, LocalityAudit,  # noqa: E402
+                                 activate, assemble_vector, init_nodes,
+                                 run_simulation)
 from centrasim.surfer import SurferChain, _metropolis_hastings  # noqa: E402
 
 from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, \
@@ -203,6 +204,18 @@ def test_oracle_is_fixed_point_of_every_projection(g):
             assert np.abs(moved - xs).max() <= 1e-12
 
 
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 59).flatmap(lambda n: st.tuples(
+    *[st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)] * 2,
+    st.floats(-1e6, 1e6), st.floats(0.0, 1.0))))
+def test_project_equals_one_expression_bit_for_bit(case):
+    """project's in-place form gives the bits of the plain expression."""
+    xs, coef, target, alpha = case
+    xs, coef = np.array(xs), np.array(coef)
+    expect = xs + alpha * coef * (target - coef @ xs)
+    assert project(xs, coef, target, alpha).tobytes() == expect.tobytes()
+
+
 @st.composite
 def hyperlink_graphs(draw):
     """Repaired graphs for hyperlink matrices: random digraphs under either
@@ -364,6 +377,35 @@ def test_simulator_equals_unknown_n_engine(g, omega, stride, budget, seed):
     assert assemble_vector(sim.actors).tobytes() == eng.state.x.tobytes()
 
 
+@settings(derandomize=True, deadline=None)
+@given(digraphs(), st.data())
+def test_activations_stay_in_their_windows(g, data):
+    """Each activation changes values only in its actor's window and an
+    honest run's audit is clean; with a foreign id put into one actor's
+    window, violations report exactly that actor's activations."""
+    node = st.integers(0, g.n - 1)
+    order = data.draw(st.lists(node, max_size=80))
+    actors, token, audit = init_nodes(g, 0.15), ActivationToken(), LocalityAudit()
+    for s in order:
+        before = actors.values.copy()
+        activate(actors, token, s, audit=audit)
+        changed = np.flatnonzero(actors.values != before).tolist()
+        assert set(changed) <= set(actors[s].in_nbrs.tolist()) | {s}
+    assert audit.violations(actors) == []
+
+    t = data.draw(node)
+    foreign = sorted(set(range(g.n)) - set(actors[t].in_nbrs.tolist()) - {t})
+    if not foreign:
+        return
+    f = data.draw(st.sampled_from(foreign))
+    actors, token, audit = init_nodes(g, 0.15), ActivationToken(), LocalityAudit()
+    actors[t].window[data.draw(st.integers(0, actors[t].window.size - 1))] = f
+    for s in order:
+        activate(actors, token, s, audit=audit)
+    assert audit.violations(actors) == \
+        [(k, t, [f]) for k, s in enumerate(order) if s == t]
+
+
 class ReferenceAudit:
     """LocalityAudit as it was: every event kept whole, each one checked
     against its actor's allowed set; the reference for the footprint audit."""
@@ -371,14 +413,14 @@ class ReferenceAudit:
     def __init__(self):
         self.events = []
 
-    def record(self, k, s, reads, writes):
-        self.events.append((k, s, tuple(reads), tuple(writes)))
+    def record(self, k, s, window):
+        self.events.append((k, s, tuple(window.tolist())))
 
     def violations(self, actors):
         bad = []
-        for (k, s, reads, writes) in self.events:
+        for (k, s, window) in self.events:
             allowed = set(actors[s].in_nbrs.tolist()) | {s}
-            touched = set(reads) | set(writes)
+            touched = set(window)
             if not touched <= allowed:
                 bad.append((k, s, sorted(touched - allowed)))
         return bad
@@ -390,27 +432,24 @@ AUDIT_ACTORS = {"fig1": init_nodes(parse_edge_list(FIG1_TEXT), 0.15),
 
 @st.composite
 def audit_records(draw):
-    """Actors and (k, s, reads, writes) records: honest footprints, repeats
-    of earlier records and foreign ids, as tuples or lists, with k running
-    on, repeating or jumping."""
+    """Actors and (k, s, window) records: honest windows, repeats of
+    earlier records and windows of random ids, with k running on, repeating
+    or jumping."""
     actors = AUDIT_ACTORS[draw(st.sampled_from(sorted(AUDIT_ACTORS)))]
     node = st.integers(0, len(actors) - 1)
     records, k = [], 0
     for _ in range(draw(st.integers(0, 60))):
         kind = draw(st.sampled_from(["honest", "repeat", "foreign"]))
         if kind == "repeat" and records:
-            _, s, reads, writes = draw(st.sampled_from(records))
+            _, s, window = draw(st.sampled_from(records))
         elif kind == "foreign":
             s = draw(node)
-            reads = draw(st.lists(node, max_size=6))
-            writes = draw(st.lists(node, max_size=6))
+            window = np.array(draw(st.lists(node, max_size=12)), dtype=np.intp)
         else:
             s = draw(node)
-            reads, writes = actors[s].reads, actors[s].writes
-        if draw(st.booleans()):
-            reads, writes = list(reads), list(writes)
+            window = actors[s].window
         k = draw(st.sampled_from([k + 1, k + 1, k, 0]) | st.integers(-5, 10**12))
-        records.append((k, s, reads, writes))
+        records.append((k, s, window))
     return actors, records
 
 
@@ -436,7 +475,7 @@ def test_footprint_ids_widen_past_one_and_two_bytes():
         for a in range(50):
             for b in range(27):
                 k += 1 + (a == b)
-                rec = (k, s, (a,), (s, b))
+                rec = (k, s, np.array([s, a, b], dtype=np.intp))
                 audit.record(*rec)
                 ref.record(*rec)
     assert len(audit.footprints) == 50 * 50 * 27 > 1 << 16
