@@ -1,8 +1,9 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from centrasim.engine import run
+from centrasim.engine import project, run
 from centrasim.oracles import direct_ls_solve, rows_from_graph
 from centrasim.simulator import (ActivationToken, LocalityAudit, activate,
                                  assemble_vector, estimate_network_size,
@@ -54,6 +55,28 @@ class TestActivation:
         audit.record(0, 4, np.array([4, 5, 0, 3], dtype=np.intp))
         bad = audit.violations(actors)
         assert bad == [(0, 4, [0, 3])]
+
+    @pytest.mark.parametrize("ids", ["reads", "writes"])
+    def test_audit_records_what_activate_touched(self, fig1, ids):
+        # node 4's only in-neighbor is 5: swap it for 0 in the window that
+        # activate pulls values through (reads) and pushes them back
+        # through (writes); the audit names 0 either way
+        actors = init_nodes(fig1, m=0.15)
+        actors[4].window[actors[4].window == 5] = 0
+        token, audit = ActivationToken(), LocalityAudit()
+        activate(actors, token, 1, audit=audit)
+        actors.values[:] = np.arange(1.0, 7.0) / 8
+        before = actors.values.copy()
+        activate(actors, token, 4, audit=audit)
+        via = {j: project(before[[4, j]], actors[4].coef, 0.15 * 0.5, 0.5)
+               for j in (0, 5)}
+        if ids == "reads":
+            assert actors.values[4] == via[0][0] != via[5][0]
+        else:
+            changed = np.flatnonzero(actors.values != before).tolist()
+            assert changed == [0, 4]
+            assert actors.values[0] == via[0][1]
+        assert audit.violations(actors) == [(1, 4, [0])]
 
     def test_audit_memory_bounded_per_event(self):
         actors = init_nodes(dense50_graph(), m=0.15)
