@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, simulator, surfer, tables
-from .errors import AssumptionError, ConsistencyError, GraphFormatError, RepairError
+from .errors import AssumptionError, ConsistencyError, GraphFormatError, \
+    NotOrientedTreeError, RepairError
 from .graph import map_distinct, parse_edge_list, parse_temporal_edge_list, \
-    repair_dangling, validate_oriented_tree
+    repair_dangling
 from .levelsets import CentralityVector, closeness_centrality, \
     degree_centrality, normalize, run_levelset, tree_betweenness
 from .matrix import PersistentAverage, build_hyperlink_matrix, column_sums
@@ -126,11 +127,10 @@ def cmd_centrality(text, cfg):
     ls = run_levelset(g)
     deg = normalize(degree_centrality(g))
     clo = normalize(closeness_centrality(ls, g))
-    is_tree, _ = validate_oriented_tree(g)
-    if is_tree:
+    try:
         bet = tree_betweenness(ls, g)
         method = "distributed"
-    else:
+    except NotOrientedTreeError:
         bet = brandes_betweenness(g)
         method = "oracle"
     bet = _normalize_or_raw(bet)
@@ -191,7 +191,8 @@ def cmd_pagerank(text, cfg):
 
 def cmd_pagerank_temporal(text, cfg):
     seq = parse_temporal_edge_list(text)
-    # equal snapshots share one repaired graph, matrix and kernel
+    # the parser shares one graph among equal snapshots, and so each
+    # distinct snapshot gets one repaired graph, matrix and kernel
     repaired = {}
     for t, g in seq.snapshots:
         if g in repaired:

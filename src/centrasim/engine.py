@@ -201,7 +201,7 @@ def run(rows, chain, mode, budget, trace_stride=100, oracle_x=None):
 
 
 def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
-                 trace_stride=100, oracle_x=None):
+                 trace_stride=100):
     """Temporal loop: advance one snapshot every snapshot_stride steps.
 
     snapshot_mats[t] is the hyperlink matrix of snapshot t; kernels[t] the
@@ -235,5 +235,5 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
         return s
 
     trace_rows = drive(block, lambda: state.x, state.alpha_inv, budget,
-                       trace_stride, oracle_x)
+                       trace_stride)
     return EngineRun(state=state, trace_rows=trace_rows)

@@ -25,7 +25,8 @@ class DirectedGraph:
     ``labels`` maps an index back to the original string identifier.
     ``uniform_columns`` marks nodes whose hyperlink-matrix column is to be
     filled uniformly off-diagonal (the uniform-column dangling repair).
-    Graphs are equal when n, keys, labels and uniform columns are.
+    Graphs compare and hash by identity; parse_temporal_edge_list shares
+    one object among equal snapshots.
 
     ``out_ptr``/``out_idx`` list row u's out-neighbors as
     out_idx[out_ptr[u]:out_ptr[u+1]], sorted; ``in_ptr``/``in_idx`` the
@@ -54,18 +55,6 @@ class DirectedGraph:
         return DirectedGraph(n=n, keys=_sorted_unique(pairs[:, 0] * n + pairs[:, 1]),
                              labels=tuple(labels),
                              uniform_columns=frozenset(uniform_columns))
-
-    @cached_property
-    def _content(self):
-        return (self.n, self.keys.tobytes(), self.labels, self.uniform_columns)
-
-    def __eq__(self, other):
-        if not isinstance(other, DirectedGraph):
-            return NotImplemented
-        return self._content == other._content
-
-    def __hash__(self):
-        return hash(self._content)
 
     @cached_property
     def _out(self):
@@ -121,7 +110,8 @@ def _rows(indptr, indices):
 
 @dataclass(frozen=True)
 class TemporalGraphSequence:
-    """Snapshots of a graph over a fixed node set, at increasing time indices."""
+    """Snapshots of a graph over a fixed node set, at increasing time
+    indices; equal snapshots are one graph object."""
 
     n: int
     snapshots: tuple[tuple[int, DirectedGraph], ...]
@@ -131,8 +121,8 @@ class TemporalGraphSequence:
 
 
 def map_distinct(fn, items):
-    """[fn(x) for x in items], calling fn once per distinct item: equal
-    items share one result object."""
+    """[fn(x) for x in items], calling fn once per distinct item (graphs
+    are distinct by identity): repeats share one result object."""
     memo = {}
     for x in items:
         if x not in memo:
@@ -182,7 +172,8 @@ def parse_temporal_edge_list(text):
     """Parse `time src dst` lines into a TemporalGraphSequence.
 
     Time values must be nondecreasing; the node set is the union over the
-    whole file and is shared by every snapshot.
+    whole file and is shared by every snapshot, and snapshots with the same
+    edges share one DirectedGraph.
     """
     index = {}
     raw_snaps = []  # list of (time, [src, ...], [dst, ...])
@@ -210,11 +201,14 @@ def parse_temporal_edge_list(text):
     if not raw_snaps:
         raise GraphFormatError("no snapshots in temporal edge list")
     n, labels = len(index), tuple(index)
-    snapshots = tuple(
-        (t, DirectedGraph(n=n, keys=_keys(n, srcs, dsts), labels=labels))
-        for (t, srcs, dsts) in raw_snaps
-    )
-    return TemporalGraphSequence(n=n, snapshots=snapshots)
+    shared = {}
+    snapshots = []
+    for t, srcs, dsts in raw_snaps:
+        keys = _keys(n, srcs, dsts)
+        g = shared.setdefault(keys.tobytes(),
+                              DirectedGraph(n=n, keys=keys, labels=labels))
+        snapshots.append((t, g))
+    return TemporalGraphSequence(n=n, snapshots=tuple(snapshots))
 
 
 def _pairs(g):

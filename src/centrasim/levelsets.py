@@ -153,22 +153,23 @@ def closeness_centrality(ls, g):
 
 
 def tree_betweenness(ls, g):
-    """Distributed betweenness of an oriented tree.
+    """Distributed betweenness of an oriented tree; NotOrientedTreeError
+    names an undirected cycle otherwise.
 
     For an out-neighbor j, the branch size |R_{i->j}| is 1 + sum_t |R_j^t|
     (the 1 counts j itself); symmetrically for in-branches. Every ordered
     (source, target) pair through i is counted once because branches of an
-    oriented tree are disjoint.
+    oriented tree are disjoint. Node i sums its branch sizes over its CSR
+    rows; the sizes are whole numbers, so every sum and product is exact.
     """
     ok, cycle = validate_oriented_tree(g)
     if not ok:
         raise NotOrientedTreeError(f"not an oriented tree; undirected cycle {cycle}")
     n = g.n
-    vals = np.zeros(n)
     succ = 1.0 + (ls.fwd > 0).sum(axis=1)
     pred = 1.0 + (ls.bwd > 0).sum(axis=1)
-    for i in range(n):
-        r_total = sum(succ[j] for j in g.out_adj[i])
-        l_total = sum(pred[k] for k in g.in_adj[i])
-        vals[i] = r_total * l_total
-    return CentralityVector(values=vals, kind="betweenness")
+    r_total = np.bincount(np.repeat(np.arange(n), np.diff(g.out_ptr)),
+                          weights=succ[g.out_idx], minlength=n)
+    l_total = np.bincount(np.repeat(np.arange(n), np.diff(g.in_ptr)),
+                          weights=pred[g.in_idx], minlength=n)
+    return CentralityVector(values=r_total * l_total, kind="betweenness")

@@ -43,12 +43,6 @@ class Csr:
         a[self._row_ids, self.indices] = self.data
         return a
 
-    def diagonal(self):
-        d = np.zeros(min(self.shape))
-        on = self._row_ids == self.indices
-        d[self.indices[on]] = self.data[on]
-        return d
-
 
 def _sorted_unique(keys):
     """np.unique(keys), without the numpy.ma import (about 15 ms) that
@@ -97,10 +91,10 @@ def column_sums(w):
     return np.bincount(w.indices, weights=w.data, minlength=w.shape[1])
 
 
-def assert_column_stochastic(w, tol=COLUMN_SUM_TOL):
-    """Every column of the Csr matrix w sums to 1 within tol."""
+def assert_column_stochastic(w):
+    """Every column of the Csr matrix w sums to 1 within COLUMN_SUM_TOL."""
     sums = column_sums(w)
-    bad = np.abs(sums - 1.0) > tol
+    bad = np.abs(sums - 1.0) > COLUMN_SUM_TOL
     if bad.any():
         j = int(np.flatnonzero(bad)[0])
         raise ValueError(f"column {j} sums to {sums[j]!r}, not 1")

@@ -5,12 +5,14 @@ the diagonal and -(1-m)/outdeg(j) at every in-neighbor j. Solving the
 stacked system H x = (m/n) 1 gives the PageRank exactly, and the solution
 sums to one without any explicit normalization.
 
-Both row builders compute only their off-diagonal coefficients, from a
-matrix ((1-m)*W_ij) or from out-degrees ((1-m)/outdeg(j)); the two differ
-in the last bit for some degrees, so each keeps its own. One vectorized
-assembly then lays every row out as the diagonal followed by the sorted
-in-neighbor columns; the stacked Csr for diagnostics and solves is built
-on first use.
+W never has a diagonal entry: graphs reject self-loops, a uniform column
+skips its own row, and persistent averages only union these patterns. So
+every diagonal of H is exactly 1, and the row builders compute only the
+off-diagonal coefficients, from a matrix ((1-m)*W_ij) or from out-degrees
+((1-m)/outdeg(j)); the two differ in the last bit for some degrees, so
+each keeps its own. One vectorized assembly then lays every row out as
+the unit diagonal followed by the sorted in-neighbor columns; the stacked
+Csr for diagnostics and solves is built on first use.
 
 Brandes betweenness and all-pairs BFS run as compiled per-source FIFO
 queue loops (``_native``) when the system C compiler can build them, and
@@ -42,7 +44,7 @@ class RegressionRows:
     """Condensed sparse rows H_i in one flat layout.
 
     Row i is indices[indptr[i]:indptr[i+1]] with the coefficients at the
-    same positions of data: i itself (the diagonal), then its sorted
+    same positions of data: i itself (the diagonal, 1.0), then its sorted
     in-neighbor columns. The compiled engine steps read the flat arrays;
     idx and coef are their per-row views, built on first read. y is the
     common target m/n, or None when the network size is withheld. No
@@ -85,9 +87,9 @@ class LsSolution:
     iterations: int = 0
 
 
-def _assemble(n, m, diag, rows, cols, vals, n_known):
-    """Stack rows from the diagonal and the off-diagonal (row, col, value)
-    triples, which arrive sorted by row, then by column."""
+def _assemble(n, m, rows, cols, vals, n_known):
+    """Stack rows from a unit diagonal and the off-diagonal (row, col,
+    value) triples, which arrive sorted by row, then by column."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n) + 1, out=indptr[1:])
     first = indptr[:-1]
@@ -97,23 +99,25 @@ def _assemble(n, m, diag, rows, cols, vals, n_known):
     indices[first] = np.arange(n)
     indices[off] = cols
     data = np.empty(indptr[-1])
-    data[first] = diag
+    data[first] = 1.0
     data[off] = vals
     return RegressionRows(n=n, m=m, indptr=indptr, indices=indices, data=data,
                           y=m / n if n_known else None)
 
 
 def build_regression_rows(w, m, n_known=True):
-    """Rows of I - (1-m)W from a column-stochastic Csr W, read row by row."""
+    """Rows of I - (1-m)W from a column-stochastic Csr W, read row by row.
+
+    Every row's diagonal is 1, so a diagonal entry of W raises ValueError.
+    """
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
     rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
-    off = rows != w.indices
-    # No self-loops upstream, so the diagonal is 1; a diagonal entry of W
-    # would fold into it.
-    diag = 1.0 - (1.0 - m) * w.diagonal()
-    return _assemble(w.shape[0], m, diag, rows[off], w.indices[off],
-                     -(1.0 - m) * w.data[off], n_known)
+    loops = rows[rows == w.indices]
+    if loops.size:
+        raise ValueError(f"W has a diagonal entry in row {loops[0]}")
+    return _assemble(w.shape[0], m, rows, w.indices, -(1.0 - m) * w.data,
+                     n_known)
 
 
 def rows_from_graph(g, m, n_known=True):
@@ -126,8 +130,7 @@ def rows_from_graph(g, m, n_known=True):
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
     rows, cols, outdeg = in_links(g)
-    return _assemble(g.n, m, np.ones(g.n), rows, cols,
-                     -(1.0 - m) / outdeg[cols], n_known)
+    return _assemble(g.n, m, rows, cols, -(1.0 - m) / outdeg[cols], n_known)
 
 
 def ls_objective(x, rows):

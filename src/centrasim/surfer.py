@@ -123,8 +123,8 @@ def build_transition_matrix(g, omega):
 
 def build_transition_matrix_temporal(graphs, omega, joint_window=None):
     """Per-snapshot kernels; omega=0 additionally needs every window of
-    joint_window consecutive snapshots to have a connected union. Equal
-    snapshots share one kernel object."""
+    joint_window consecutive snapshots to have a connected union. Snapshots
+    that are the same object share one kernel object."""
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega={omega} outside [0,1]")
     if omega == 0.0:
@@ -137,7 +137,7 @@ def build_transition_matrix_temporal(graphs, omega, joint_window=None):
 def check_joint_connectivity(graphs, q):
     """Union of each q-long window of snapshots must be strongly connected
     once symmetrized (the surfer walks the communication edges). Windows
-    holding the same set of distinct snapshots are checked once."""
+    holding the same set of snapshot objects are checked once."""
     n = graphs[0].n
     passed = set()
     for start in range(0, max(1, len(graphs) - q + 1)):

@@ -8,8 +8,10 @@ import pytest
 
 import centrasim
 import centrasim.cli as cli
+from centrasim import surfer
 from centrasim.cli import DEFAULTS, KEYS, main
-from centrasim.graph import parse_edge_list, repair_dangling
+from centrasim.graph import parse_edge_list, parse_temporal_edge_list, \
+    repair_dangling
 from centrasim.levelsets import CentralityVector
 from centrasim.matrix import build_hyperlink_matrix
 from centrasim.oracles import LsSolution, build_regression_rows, direct_ls_solve
@@ -510,6 +512,37 @@ class TestTemporal:
         assert rc == 2
         assert "snapshots [2, 4)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_equal_snapshots_share_one_graph_and_build(self, tmp_path,
+                                                       monkeypatch):
+        """A, A, B, A, A with A's lines reordered or repeated: the parser
+        gives every A one graph object, and the run builds one hyperlink
+        matrix and one surfer kernel for each of A and B."""
+        a = ["a b", "b c", "c a"]
+        b = ["a b", "b a", "b c", "c b"]
+        text = "".join(f"{t} {e}\n" for t, edges in
+                       enumerate([a, a[::-1], b, a, a + ["a b"]]) for e in edges)
+        g = [g for _, g in parse_temporal_edge_list(text).snapshots]
+        assert g[0] is g[1] is g[3] is g[4]
+        assert g[2] is not g[0]
+
+        builds = {"matrix": 0, "kernel": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                builds[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(cli, "build_hyperlink_matrix",
+                            counted("matrix", cli.build_hyperlink_matrix))
+        monkeypatch.setattr(surfer, "_metropolis_hastings",
+                            counted("kernel", surfer._metropolis_hastings))
+        seq = tmp_path / "seq.txt"
+        seq.write_text(text)
+        rc = main(["pagerank-temporal", str(seq), "--iterations", "500",
+                   "--snapshot-stride", "100", "--output-dir", str(tmp_path)])
+        assert rc == 0
+        assert builds == {"matrix": 2, "kernel": 2}
 
 
 class TestOracle:

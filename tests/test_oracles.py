@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from centrasim import _native
 from centrasim.graph import parse_edge_list, repair_dangling
-from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
+from centrasim.matrix import Csr, PersistentAverage, build_hyperlink_matrix
 from centrasim.oracles import (_assemble, _loop_all_pairs, _loop_betweenness,
                                build_regression_rows, bfs_all_pairs,
                                brandes_betweenness, direct_ls_solve,
@@ -47,14 +47,13 @@ def _loop_matrix_rows(w, m):
 
 def _reference_matrix_rows(w, m, n_known=True):
     """build_regression_rows as it was before it read W's CSR arrays: it
-    went through COO and lexsorted the entries back into row order."""
+    went through COO and lexsorted the entries back into row order. W has
+    no diagonal entry, so every row's diagonal is 1."""
+    assert not w.diagonal().any()
     coo = w.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
-    off = rows != cols
-    diag = 1.0 - (1.0 - m) * w.diagonal()
-    return _assemble(w.shape[0], m, diag, rows[off], cols[off],
-                     -(1.0 - m) * vals[off], n_known)
+    return _assemble(w.shape[0], m, coo.row[order], coo.col[order],
+                     -(1.0 - m) * coo.data[order], n_known)
 
 
 def _row_build_cases():
@@ -68,7 +67,7 @@ def _row_build_cases():
             rng, n, p=2.0 / n, repaired=policy == "backlink"), policy))
     for g in graphs:
         yield build_hyperlink_matrix(g)
-    # persistent averages: entries no longer 1/outdeg, diagonals nonzero
+    # persistent averages: entries no longer 1/outdeg, still no diagonal
     pa = PersistentAverage(rho=0.9)
     for _ in range(30):
         g = random_digraph(rng, 12, p=0.25)
@@ -149,6 +148,13 @@ class TestRegressionRows:
                     assert np.array_equal(a, b)
                 for a, b in zip(got.coef, ref.coef):
                     assert a.tobytes() == b.tobytes()
+
+    def test_diagonal_entry_rejected(self):
+        # H's diagonal is 1: a W with a self-loop is refused, not folded in
+        w = Csr(np.array([0, 2, 3]), np.array([0, 1, 0]),
+                np.array([0.5, 1.0, 0.5]), (2, 2))
+        with pytest.raises(ValueError, match="diagonal entry in row 0"):
+            build_regression_rows(w, 0.15)
 
     def test_unknown_size_withholds_target(self, fig1):
         rows = rows_from_graph(fig1, m=0.15, n_known=False)
