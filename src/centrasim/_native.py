@@ -20,13 +20,16 @@ times the time (web4000: Brandes 20 s against 1.1 s, BFS 8 s against
 0.5 s). ``brandes`` and ``bfs_all_pairs`` take a loaded library and the
 graph.
 
-``Steps`` runs the engine's blocks of steps in the library. Its dot
-product must be the one numpy's ``@`` computes, so it calls numpy's own
-BLAS ddot, which ``ddot()`` finds; without the library or that ddot the
-engine runs its Python twin, which gives the same bits about 16
+``Steps`` runs the engine's blocks of steps in the library, and the
+node-actor simulator's, which also have it write each step's node to a
+trail of at most one uniform block (``BLOCK_STEPS``) for the locality
+audit. Its dot product must be the one numpy's ``@`` computes, so it calls
+numpy's own BLAS ddot, which ``ddot()`` finds; without the library or that
+ddot the engine runs its Python twin, which gives the same bits about 16
 times more slowly (800 000 steps on a 50-node graph: 3.6 s against
-0.22 s). Every array handed to the library is checked first:
-its dtype, layout and size, and every index it holds.
+0.22 s), and the simulator its Python block. Every array handed to the
+library is checked first: its dtype, layout and size, and every index it
+holds.
 """
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ import stat
 from pathlib import Path
 
 import numpy as np
+
+from .surfer import BLOCK_STEPS
 
 SOURCE = r"""
 #include <math.h>
@@ -158,7 +163,8 @@ typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *,
    projects x on its regression row: known size takes the given alpha and
    target, unknown size visits/(k+1) and m*alpha. The dot product is the
    BLAS ddot numpy's `@` calls, added to 0.0 as numpy adds it; xs holds the
-   row's gathered values and has room for n. */
+   row's gathered values and has room for n. A non-NULL trail, with room
+   for count, gets each step's node. */
 int64_t centrasim_steps(int64_t count, int64_t k, int64_t current,
                         const double *u, int64_t n, double omega,
                         const int64_t *kern_ptr, const int64_t *kern_tgt,
@@ -166,7 +172,7 @@ int64_t centrasim_steps(int64_t count, int64_t k, int64_t current,
                         const int64_t *row_idx, const double *row_coef,
                         int64_t unknown, double m, double alpha,
                         double target, double *x, int64_t *visits,
-                        double *xs, ddot_fn ddot)
+                        double *xs, ddot_fn ddot, int64_t *trail)
 {
     for (int64_t i = 0; i < count; i++, k++) {
         double restart = u[2 * i], v = u[2 * i + 1];
@@ -185,6 +191,8 @@ int64_t centrasim_steps(int64_t count, int64_t k, int64_t current,
             }
             current = kern_tgt[lo];
         }
+        if (trail)
+            trail[i] = current;
         visits[current] += 1;
         if (unknown) {
             alpha = (double)visits[current] / (double)(k + 1);
@@ -211,7 +219,7 @@ _SIGNATURES = {
     "centrasim_brandes": (ctypes.c_int, (_I, _P, _P, _P, _P)),
     "centrasim_bfs": (ctypes.c_int, (_I, _P, _P, _P)),
     "centrasim_steps": (_I, (_I, _I, _I, _P, _I, _D, _P, _P, _P, _P, _P, _P,
-                             _I, _D, _D, _D, _P, _P, _P, _P)),
+                             _I, _D, _D, _D, _P, _P, _P, _P, _P)),
 }
 
 
@@ -415,15 +423,23 @@ class Steps:
     state.k as the Python steps do. A rows or kernel object is checked the
     first time a block runs on it, and the call's arguments are kept for
     the pair in use.
+
+    With on_block, each library call also writes its steps' nodes to a
+    trail of at most BLOCK_STEPS, and on_block(k, nodes) then gets the
+    first step's k and that trail, which the next call overwrites.
     """
 
-    def __init__(self, lib, ddot_addr, state, chain):
+    def __init__(self, lib, ddot_addr, state, chain, on_block=None):
         n = self._n = state.x.size
         self._fn, self._state, self._chain = lib.centrasim_steps, state, chain
         self._xs = np.empty(n)
+        self._on_block = on_block
+        self._trail = None if on_block is None else np.empty(BLOCK_STEPS,
+                                                             dtype=np.int64)
         self._tail = (_buf(state.x, np.float64, n),
                       _buf(state.visits, np.int64, n),
-                      _buf(self._xs, np.float64, n), ddot_addr)
+                      _buf(self._xs, np.float64, n), ddot_addr,
+                      None if on_block is None else self._trail.ctypes.data)
         self._known = state.mode == "known-n"
         self._kernels = {}  # id -> (kernel, its arguments): kept alive here
         self._pair, self._args = (None, None), None
@@ -452,11 +468,14 @@ class Steps:
             raise ValueError(f"surfer at node {node} outside [0, {self._n})")
         while count:
             block, pos = chain.uniforms()
-            take = min(count, (len(block) - pos) // 2)
-            node = self._fn(take, state.k, node,
+            take = min(count, (len(block) - pos) // 2, BLOCK_STEPS)
+            k = state.k
+            node = self._fn(take, k, node,
                             block.buffer_info()[0] + pos * block.itemsize,
                             *self._args)
             chain.advance(take, node)
             state.k += take
             count -= take
+            if self._on_block is not None:
+                self._on_block(k, self._trail[:take])
         return node

@@ -8,6 +8,7 @@ failed locality audit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -288,8 +289,10 @@ def build_parser():
 def _write_tables(outdir, outputs):
     """Write every table or none: each goes to a new temporary file in
     outdir, and the temporaries replace their targets only once all of
-    them are written. A target that is a directory is refused first."""
-    temps = []
+    them are written. A target that is a directory is refused first. On
+    failure the temporaries not yet renamed are removed; a rename that
+    fails leaves the tables renamed before it."""
+    temps = []  # (temporary, target) pairs not yet renamed
     try:
         for name in outputs:
             if (outdir / name).is_dir():
@@ -302,21 +305,25 @@ def _write_tables(outdir, outputs):
                 except FileExistsError:
                     continue
                 break
-            temps.append(tmp)
+            temps.append((tmp, outdir / name))
             with fh:
                 fh.write(table)
+        while temps:
+            os.replace(*temps[0])
+            del temps[0]
     except BaseException:
-        for tmp in temps:
-            tmp.unlink()
+        for tmp, _ in temps:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
         raise
-    for tmp, name in zip(temps, outputs):
-        os.replace(tmp, outdir / name)
 
 
 def main(argv=None):
     """Run one command, which returns {file name: table text}, and write its
     tables; a failed run writes none, leaves every file it does not write
-    as it was and removes the directories it made."""
+    as it was and removes the directories it made. Only a rename that
+    fails midway leaves the tables renamed before it, and their
+    directories; the run still reports the rename's own error."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -335,8 +342,10 @@ def main(argv=None):
                     created.append(d)
             _write_tables(outdir, args.func(text, cfg))
         except BaseException:
-            for d in reversed(created):  # leaf first; nothing is written
-                d.rmdir()
+            # leaf first; a directory a failed rename left a table in stays
+            for d in reversed(created):
+                with contextlib.suppress(OSError):
+                    d.rmdir()
             raise
         return 0
     except AssumptionError as exc:

@@ -22,12 +22,13 @@ One driver, drive, runs the engine's loops and the simulator's: it hands
 the steps up to the next trace row to a block callable, then traces, and
 asks the run for the inverse stepsize only there. The engine's modes step
 through one contract, steps(rows, count) -> last node, on one of two
-paths chosen at the first block: the compiled library's steps
-(``_native.Steps``) when it and numpy's BLAS ddot load, else the Python
-twin, which samples and steps once per activation. Both do the same float
-operations in the same order and give the same bits; the twin is the
-no-compiler path and the reference. The simulator runs its own Python
-block of activations.
+paths chosen at the first block by choose_path: the compiled library's
+steps (``_native.Steps``) when it and numpy's BLAS ddot load, else the
+Python twin, which samples and steps once per activation. Both do the same
+float operations in the same order and give the same bits; the twin is the
+no-compiler path and the reference. The simulator chooses its path the
+same way: the library's unknown-size steps, or its own Python block of
+activations.
 """
 from __future__ import annotations
 
@@ -136,21 +137,28 @@ def _python_steps(state, chain):
     return steps
 
 
-def _engine_steps(state, chain):
-    """steps(rows, count) for the engine's modes. At the first block it
-    takes the library's steps if the library and numpy's ddot load, and
-    the Python twin otherwise."""
+def choose_path(python, compiled):
+    """A callable that, at its first call, becomes compiled(lib, ddot
+    address) if the library and numpy's ddot load, and python() otherwise,
+    and passes every call on to it."""
     chosen = None
 
-    def steps(rows, count):
+    def call(*args):
         nonlocal chosen
         if chosen is None:
             lib = _native.load()
             addr = _native.ddot() if lib is not None else None
-            chosen = (_python_steps(state, chain) if addr is None
-                      else _native.Steps(lib, addr, state, chain))
-        return chosen(rows, count)
-    return steps
+            chosen = python() if addr is None else compiled(lib, addr)
+        return chosen(*args)
+    return call
+
+
+def _engine_steps(state, chain):
+    """steps(rows, count) for the engine's modes: the library's steps if
+    the library and numpy's ddot load at the first block, else the Python
+    twin."""
+    return choose_path(lambda: _python_steps(state, chain),
+                       lambda lib, addr: _native.Steps(lib, addr, state, chain))
 
 
 def drive(block, vector, alpha_inv, budget, trace_stride, oracle_x=None,

@@ -241,14 +241,15 @@ def test_kernel_row_not_summing_to_one_never_reaches_the_library():
 # the child loads the sanitized library and checks every loop on every
 # graph against the Python loops: Brandes and BFS, then engine runs in both
 # modes, with and without restarts, on block lengths that end inside and
-# at the edge of the chain's uniform blocks
+# at the edge of the chain's uniform blocks, and node-actor runs, whose
+# steps write a trail of each uniform block's nodes
 ASAN_CHILD = r"""
 import pickle
 import sys
 
 import numpy as np
 
-from centrasim import _native, engine
+from centrasim import _native, engine, simulator
 from centrasim.graph import DirectedGraph, repair_dangling, symmetrize
 from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
 from centrasim.oracles import _loop_all_pairs, _loop_betweenness, rows_from_graph
@@ -273,6 +274,20 @@ def run(g, mode, omega, stride, library):
     return outcome(out, chain)
 
 
+def run_dist(g, library):
+    # a trace row every 300 steps: blocks that fill a whole trail, and
+    # blocks that end inside one
+    _native.load = lambda: library
+    chain = SurferChain(matrix=_metropolis_hastings(symmetrize(g)),
+                        omega=0.15, seed=g.n)
+    sim = simulator.run_simulation(g, 0.15, chain, 700, trace_stride=300)
+    audit = sim.audit
+    return (sim.actors.values.tobytes(), sim.actors.visits.tobytes(),
+            sim.trace_rows, sim.size_estimates, list(audit.footprints.items()),
+            audit.events.typecode, audit.events.tobytes(), audit.jumps,
+            audit.next_k, chain.current, chain._rng.bit_generator.state)
+
+
 def run_temporal(g, library):
     # g and its reverse, repaired, twice over, on one kernel: only the rows
     # change, at k = 150, 300 and 450, inside the chain's blocks of 256 steps
@@ -290,12 +305,12 @@ def run_temporal(g, library):
 # without numpy's ddot both runs would take the Python steps; a single
 # node has no repair, so no temporal case
 cases = [(run, "known-n", 0.0, 256), (run, "unknown-n", 0.15, 97),
-         (run_temporal,)] if _native.ddot() else []
+         (run_dist,), (run_temporal,)] if _native.ddot() else []
 runs = 0
 for name, g in graphs:
     assert np.array_equal(_native.brandes(lib, g), _loop_betweenness(g)), name
     assert np.array_equal(_native.bfs_all_pairs(lib, g), _loop_all_pairs(g)), name
-    for fn, *args in cases[:3 if g.n > 1 else 2]:
+    for fn, *args in cases[:4 if g.n > 1 else 3]:
         assert fn(g, *args, lib) == fn(g, *args, None), \
             (name, fn.__name__, *args)
         runs += 1
@@ -344,5 +359,5 @@ def test_loops_run_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, \
         proc.stderr
-    runs = sum(3 if g.n > 1 else 2 for _, g in graphs) if _native.ddot() else 0
+    runs = sum(4 if g.n > 1 else 3 for _, g in graphs) if _native.ddot() else 0
     assert proc.stdout.split() == [str(len(graphs)), str(runs)]

@@ -377,6 +377,43 @@ def test_simulator_equals_unknown_n_engine(g, omega, stride, budget, seed):
     assert assemble_vector(sim.actors).tobytes() == eng.state.x.tobytes()
 
 
+@needs_steps
+@settings(derandomize=True, deadline=None, max_examples=60)
+# a trace row every 300 steps, so one block spans two uniform blocks, and a
+# budget that is not a multiple of it
+@example(dense50_graph(), 0.15, 300, 1301, 2)
+# more than 256 actors activated: the audit's footprint ids widen to two bytes
+@example(weblike_graph(np.random.default_rng(101), 400), 0.15, 700, 4000, 5)
+@given(digraphs(), _omegas, st.integers(1, 700), st.integers(0, 1500),
+       st.integers(0, 2**32 - 1))
+def test_compiled_simulator_equals_python_twin(g, omega, stride, budget, seed):
+    """The node-actor run on the library's steps and on its Python block
+    (no library) give the same trace, values, visits, size estimates, walk
+    and audit."""
+    rows = rows_from_graph(g, 0.15)
+    kernel = _metropolis_hastings(symmetrize(g))
+    oracle = np.full(g.n, 1.0 / g.n)
+
+    def run_once():
+        chain = SurferChain(matrix=kernel, omega=omega, seed=seed)
+        return run_simulation(g, 0.15, chain, budget, trace_stride=stride,
+                              oracle_x=oracle, rows_diag=rows), chain
+
+    (a, ca), (b, cb) = _both_paths(run_once)
+    assert a.trace_rows == b.trace_rows
+    assert a.actors.values.tobytes() == b.actors.values.tobytes()
+    assert a.actors.visits.tobytes() == b.actors.visits.tobytes()
+    assert a.token.k == b.token.k == budget
+    assert a.size_estimates == b.size_estimates
+    assert (ca.current, ca._pos) == (cb.current, cb._pos)
+    assert ca._rng.bit_generator.state == cb._rng.bit_generator.state
+    fa, fb = a.audit, b.audit
+    assert list(fa.footprints.items()) == list(fb.footprints.items())
+    assert (fa.events.typecode, fa.events.tobytes()) == \
+        (fb.events.typecode, fb.events.tobytes())
+    assert (fa.jumps, fa.next_k) == (fb.jumps, fb.next_k)
+
+
 @settings(derandomize=True, deadline=None)
 @given(digraphs(), st.data())
 def test_activations_stay_in_their_windows(g, data):
@@ -463,6 +500,37 @@ def test_footprint_audit_equals_per_event_audit(case):
         ref.record(*rec)
     assert len(audit.events) == len(records)
     assert audit.violations(actors) == ref.violations(actors)
+
+
+@st.composite
+def audit_blocks(draw):
+    """Actors and (k, nodes) blocks of activations, k running on from the
+    last block, repeating, going back or jumping."""
+    actors = AUDIT_ACTORS[draw(st.sampled_from(sorted(AUDIT_ACTORS)))]
+    node = st.integers(0, len(actors) - 1)
+    blocks, k = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.sampled_from([k, k, max(k - 3, 0), 0])
+                 | st.integers(0, 10**12))
+        nodes = np.array(draw(st.lists(node, max_size=40)), dtype=np.int64)
+        blocks.append((k, nodes))
+        k += nodes.size
+    return actors, blocks
+
+
+@settings(derandomize=True, deadline=None)
+@given(audit_blocks())
+def test_record_block_equals_record_one_by_one(case):
+    actors, blocks = case
+    audit, ref = LocalityAudit(), LocalityAudit()
+    for k, nodes in blocks:
+        audit.record_block(k, nodes, actors)
+        for i, s in enumerate(nodes.tolist()):
+            ref.record(k + i, s, actors[s].window)
+    assert list(audit.footprints.items()) == list(ref.footprints.items())
+    assert (audit.events.typecode, audit.events.tobytes()) == \
+        (ref.events.typecode, ref.events.tobytes())
+    assert (audit.jumps, audit.next_k) == (ref.jumps, ref.next_k)
 
 
 def test_footprint_ids_widen_past_one_and_two_bytes():

@@ -96,11 +96,11 @@ class TestActivation:
 
     def test_size_estimate_lifecycle(self, fig1):
         actors = init_nodes(fig1, m=0.15)
-        assert estimate_network_size(actors[0], 10) is None
+        assert estimate_network_size(actors, 0, 10) is None
         token = ActivationToken()
         for _ in range(3):
             activate(actors, token, 0)
-        assert estimate_network_size(actors[0], token.k - 1) == 1.0
+        assert estimate_network_size(actors, 0, token.k - 1) == 1.0
 
 
 class TestEngineEquivalence:
@@ -146,4 +146,4 @@ class TestSimulationRun:
     def test_token_counts_activations(self, fig1):
         sim = run_simulation(fig1, 0.15, _chain(fig1, 0.0, 1), budget=777)
         assert sim.token.k == 777
-        assert sum(a.visit_count for a in sim.actors) == 777
+        assert sim.actors.visits.sum() == 777
