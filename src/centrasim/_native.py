@@ -23,11 +23,13 @@ graph.
 ``Steps`` runs the engine's blocks of steps in the library, and the
 node-actor simulator's, which also have it write each step's node to a
 trail of at most one uniform block (``BLOCK_STEPS``) for the locality
-audit. Its dot product must be the one numpy's ``@`` computes, so it calls
-numpy's own BLAS ddot, which ``ddot()`` finds; without the library or that
-ddot the engine runs its Python twin, which gives the same bits about 16
-times more slowly (800 000 steps on a 50-node graph: 3.6 s against
-0.22 s), and the simulator its Python block. Every array handed to the
+audit. Its dot product is the one ``engine.project`` writes out: the
+products rounded one by one and added left to right from the first, so
+the bits depend on no BLAS. Without the library the engine runs its
+Python twin, which gives the same bits about 30 times more slowly
+(100 000 unknown-size steps on a 50-node graph: 1.0 s against 0.031 s),
+and the simulator its Python block, about 14 times more slowly (30 000
+activations there: 0.34 s against 0.024 s). Every array handed to the
 library is checked first: its dtype, layout and size, and every index it
 holds.
 """
@@ -152,19 +154,17 @@ int centrasim_bfs(int64_t n, const int64_t *out_ptr, const int64_t *out_idx,
     return 0;
 }
 
-typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *,
-                          int64_t);
-
 /* count steps of the Kaczmarz engine from step k at node current; returns
    the last node activated. Each step reads two uniforms from u. The first
    picks a uniform restart (u < omega), which lands on int(v*n), else the
    surfer hops to the kernel target at CPython's bisect_right of v in the
    row's running sums cum. The step then bumps the node's visit count and
    projects x on its regression row: known size takes the given alpha and
-   target, unknown size visits/(k+1) and m*alpha. The dot product is the
-   BLAS ddot numpy's `@` calls, added to 0.0 as numpy adds it; xs holds the
-   row's gathered values and has room for n. A non-NULL trail, with room
-   for count, gets each step's node. */
+   target, unknown size visits/(k+1) and m*alpha. The dot product adds
+   the rounded products left to right from the first, as engine.project's
+   cumsum does; every row holds at least its diagonal. xs holds the row's
+   gathered values and has room for n. A non-NULL trail, with room for
+   count, gets each step's node. */
 int64_t centrasim_steps(int64_t count, int64_t k, int64_t current,
                         const double *u, int64_t n, double omega,
                         const int64_t *kern_ptr, const int64_t *kern_tgt,
@@ -172,7 +172,7 @@ int64_t centrasim_steps(int64_t count, int64_t k, int64_t current,
                         const int64_t *row_idx, const double *row_coef,
                         int64_t unknown, double m, double alpha,
                         double target, double *x, int64_t *visits,
-                        double *xs, ddot_fn ddot, int64_t *trail)
+                        double *xs, int64_t *trail)
 {
     for (int64_t i = 0; i < count; i++, k++) {
         double restart = u[2 * i], v = u[2 * i + 1];
@@ -203,7 +203,10 @@ int64_t centrasim_steps(int64_t count, int64_t k, int64_t current,
         int64_t len = row_ptr[current + 1] - row_ptr[current];
         for (int64_t j = 0; j < len; j++)
             xs[j] = x[idx[j]];
-        double d = target - (0.0 + ddot(len, coef, 1, xs, 1));
+        double dot = coef[0] * xs[0];
+        for (int64_t j = 1; j < len; j++)
+            dot += coef[j] * xs[j];
+        double d = target - dot;
         for (int64_t j = 0; j < len; j++)
             x[idx[j]] = xs[j] + (alpha * coef[j]) * d;
     }
@@ -219,7 +222,7 @@ _SIGNATURES = {
     "centrasim_brandes": (ctypes.c_int, (_I, _P, _P, _P, _P)),
     "centrasim_bfs": (ctypes.c_int, (_I, _P, _P, _P)),
     "centrasim_steps": (_I, (_I, _I, _I, _P, _I, _D, _P, _P, _P, _P, _P, _P,
-                             _I, _D, _D, _D, _P, _P, _P, _P, _P)),
+                             _I, _D, _D, _D, _P, _P, _P, _P)),
 }
 
 
@@ -358,33 +361,6 @@ def bfs_all_pairs(lib, g):
     return d
 
 
-@functools.cache
-def ddot():
-    """Address of the BLAS ddot that numpy's `@` calls on two float64
-    vectors, or None.
-
-    numpy's bundled OpenBLAS kernel fuses multiply-adds over several
-    accumulators, so no loop compiled here gives its bits; the compiled
-    steps call the very routine. It is looked up once in numpy.libs, and
-    kept only if it gives the bits of `@` on the prefixes of two fixed
-    vectors: every length up to 40, past the kernel's unrolled blocks, and
-    1000.
-    """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    a, b = np.arange(1000.0) / 7 - 71, np.arange(1000.0) / 13 - 38
-    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
-        try:
-            addr = ctypes.cast(ctypes.CDLL(str(path)).scipy_cblas_ddot64_,
-                               _P).value
-        except (OSError, AttributeError):
-            continue
-        fn = ctypes.CFUNCTYPE(_D, _I, _P, _I, _P, _I)(addr)
-        if all(0.0 + fn(k, a.ctypes.data, 1, b.ctypes.data, 1) == a[:k] @ b[:k]
-               for k in (*range(1, 41), 1000)):
-            return addr
-    return None
-
-
 def _kernel_bufs(kernel, n):
     """Addresses of a surfer kernel's arrays, once its targets lie in
     [0, n) and every row is nonempty and its running sums end in 1.0: a
@@ -401,15 +377,16 @@ def _kernel_bufs(kernel, n):
 
 def _rows_bufs(rows, n):
     """Addresses of regression rows' flat arrays, once their columns lie in
-    [0, n) and no row is longer than n (the gathered values' room)."""
+    [0, n) and every row is nonempty (the loop reads its first entry) and
+    no longer than n (the gathered values' room)."""
     ptr = rows.indptr
     if rows.n != n:
         raise ValueError(f"rows have {rows.n} nodes, the iterate {n}")
     bufs = (*_csr_bufs(n, ptr, rows.indices),
             _buf(rows.data, np.float64, rows.indices.size))
     lengths = np.diff(ptr)
-    if ptr[0] != 0 or (lengths < 0).any() or (lengths > n).any():
-        raise ValueError("row offsets do not run from 0 in rows of at most n")
+    if ptr[0] != 0 or (lengths < 1).any() or (lengths > n).any():
+        raise ValueError("row offsets do not run from 0 in rows of 1 to n")
     return bufs
 
 
@@ -429,7 +406,7 @@ class Steps:
     first step's k and that trail, which the next call overwrites.
     """
 
-    def __init__(self, lib, ddot_addr, state, chain, on_block=None):
+    def __init__(self, lib, state, chain, on_block=None):
         n = self._n = state.x.size
         self._fn, self._state, self._chain = lib.centrasim_steps, state, chain
         self._xs = np.empty(n)
@@ -438,7 +415,7 @@ class Steps:
                                                              dtype=np.int64)
         self._tail = (_buf(state.x, np.float64, n),
                       _buf(state.visits, np.int64, n),
-                      _buf(self._xs, np.float64, n), ddot_addr,
+                      _buf(self._xs, np.float64, n),
                       None if on_block is None else self._trail.ctypes.data)
         self._known = state.mode == "known-n"
         self._kernels = {}  # id -> (kernel, its arguments): kept alive here

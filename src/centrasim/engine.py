@@ -23,12 +23,13 @@ the steps up to the next trace row to a block callable, then traces, and
 asks the run for the inverse stepsize only there. The engine's modes step
 through one contract, steps(rows, count) -> last node, on one of two
 paths chosen at the first block by choose_path: the compiled library's
-steps (``_native.Steps``) when it and numpy's BLAS ddot load, else the
-Python twin, which samples and steps once per activation. Both do the same
-float operations in the same order and give the same bits; the twin is the
-no-compiler path and the reference. The simulator chooses its path the
-same way: the library's unknown-size steps, or its own Python block of
-activations.
+steps (``_native.Steps``) when it loads, else the Python twin, which
+samples and steps once per activation. Both do the same float operations
+in the same order, the projection's dot product included: the products
+rounded one by one and added left to right, on no BLAS. So they give the
+same bits on every host; the twin is the no-compiler path and the
+reference. The simulator chooses its path the same way: the library's
+unknown-size steps, or its own Python block of activations.
 """
 from __future__ import annotations
 
@@ -79,10 +80,12 @@ class KaczmarzState:
 
 def project(xs, coef, target, alpha):
     """One Kaczmarz projection of the values xs on the row coef:
-    xs + alpha * coef * (target - coef @ xs), computed in place on one
-    new array, by the same float operations in the same order."""
+    xs + alpha * coef * (target - coef . xs), computed in place on one
+    new array. The dot product rounds each product and adds them left to
+    right from the first (cumsum is sequential, unlike `@` or sum), as
+    the compiled steps do."""
     u = coef * alpha
-    u *= target - coef @ xs
+    u *= target - (coef * xs).cumsum()[-1]
     u += xs
     return u
 
@@ -138,27 +141,25 @@ def _python_steps(state, chain):
 
 
 def choose_path(python, compiled):
-    """A callable that, at its first call, becomes compiled(lib, ddot
-    address) if the library and numpy's ddot load, and python() otherwise,
-    and passes every call on to it."""
+    """A callable that, at its first call, becomes compiled(lib) if the
+    library loads, and python() otherwise, and passes every call on to
+    it."""
     chosen = None
 
     def call(*args):
         nonlocal chosen
         if chosen is None:
             lib = _native.load()
-            addr = _native.ddot() if lib is not None else None
-            chosen = python() if addr is None else compiled(lib, addr)
+            chosen = python() if lib is None else compiled(lib)
         return chosen(*args)
     return call
 
 
 def _engine_steps(state, chain):
     """steps(rows, count) for the engine's modes: the library's steps if
-    the library and numpy's ddot load at the first block, else the Python
-    twin."""
+    it loads at the first block, else the Python twin."""
     return choose_path(lambda: _python_steps(state, chain),
-                       lambda lib, addr: _native.Steps(lib, addr, state, chain))
+                       lambda lib: _native.Steps(lib, state, chain))
 
 
 def drive(block, vector, alpha_inv, budget, trace_stride, oracle_x=None,

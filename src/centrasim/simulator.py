@@ -12,13 +12,13 @@ the engine's rules, so engine and simulator traces agree bit for bit by
 construction. At the first block the run takes one of two paths, as the
 engine does: the library's unknown-size steps (``_native.Steps``) on the
 actors' own arrays and rows, which also write each step's node to a trail,
-when the library and numpy's ddot load; else its Python block of
-sample/activate steps, the no-compiler path and the reference. The
-locality audit stores each distinct footprint (actor, window) once and,
-per activation, only that footprint's id, one byte while there are at
-most 256 footprints; the compiled path records a whole trail at once, so
-the audit names the very windows the C loop reads. Tests use it to prove
-that an activation of s touches nothing outside s and its in-neighbors.
+when the library loads; else its Python block of sample/activate steps,
+the no-compiler path and the reference. The locality audit stores each
+distinct footprint (actor, window) once and, per activation, only that
+footprint's id, one byte while there are at most 256 footprints; the
+compiled path records a whole trail at once, so the audit names the very
+windows the C loop reads. Tests use it to prove that an activation of s
+touches nothing outside s and its in-neighbors.
 """
 from __future__ import annotations
 
@@ -198,8 +198,8 @@ def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
     against rows_diag and their target y when given; with identical graph,
     seed and schedule the traces are bit-identical. At the first block the
     run takes the library's unknown-size steps on the actors' arrays if the
-    library and numpy's ddot load, and its Python block otherwise; both
-    record the same audit.
+    library loads, and its Python block otherwise; both record the same
+    audit.
     """
     actors = init_nodes(g, m)
     token = ActivationToken()
@@ -218,7 +218,7 @@ def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
             return s
         return block
 
-    def compiled(lib, addr):
+    def compiled(lib):
         state = KaczmarzState(x=actors.values, mode="unknown-n",
                               visits=actors.visits)
 
@@ -227,7 +227,7 @@ def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
             # each actor's last occurrence in the trail: the largest k
             np.maximum.at(last_k, nodes, np.arange(k, k + nodes.size))
 
-        steps = _native.Steps(lib, addr, state, chain, on_block=trail)
+        steps = _native.Steps(lib, state, chain, on_block=trail)
 
         def block(count):
             s = steps(actors.rows, count)

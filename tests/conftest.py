@@ -46,13 +46,10 @@ TEMPORAL_TEXT = "".join(
     + [f"2 {e}\n" for e in _FIG1_EDGES if not e.startswith("6 ")])
 
 
-# the compiled oracle loops need the system C compiler; without one the
-# oracles run their Python queue loops, and tests of the native path skip
+# the compiled loops need the system C compiler; without one the oracles
+# and the engine run their Python loops, and tests of the native path skip
 HAVE_CC = _native.compiler() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
-# the compiled engine steps also need numpy's own BLAS ddot
-needs_steps = pytest.mark.skipif(not HAVE_CC or _native.ddot() is None,
-                                 reason="no C compiler or no numpy BLAS ddot")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,6 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import centrasim
 from centrasim import _native
 from centrasim.engine import (KaczmarzState, format_trace_row, run,
                               run_temporal, step_known_n, step_temporal,
@@ -12,7 +19,8 @@ from centrasim.oracles import (build_regression_rows, direct_ls_solve,
 from centrasim.surfer import (SurferChain, build_transition_matrix,
                               build_transition_matrix_temporal)
 
-from conftest import random_connected_digraph
+from conftest import HAVE_CC, random_connected_digraph
+from test_acceptance import weblike_graph
 
 
 def _chain(g, omega, seed):
@@ -187,3 +195,56 @@ class TestTemporal:
         step_temporal(a, 3, build_regression_rows(pa.wbar, 0.15, n_known=False))
         step_unknown_n(b, 3, rows)
         assert np.abs(a.x - b.x).max() < 1e-15
+
+
+# 20 000 steps of each size mode on the pickled graph, on the compiled
+# steps (when the library loads) and on the Python twin: one line each,
+# mode, path and the digest of the iterate's bytes
+BLAS_CHILD = r"""
+import hashlib
+import pickle
+import sys
+
+from centrasim import _native, engine
+from centrasim.graph import symmetrize
+from centrasim.oracles import rows_from_graph
+from centrasim.surfer import SurferChain, _metropolis_hastings
+
+with open(sys.argv[1], "rb") as fh:
+    g = pickle.load(fh)
+kernel = _metropolis_hastings(symmetrize(g))
+for library in (_native.load(), None):
+    _native.load = lambda: library
+    for mode in ("known-n", "unknown-n"):
+        chain = SurferChain(matrix=kernel, omega=0.15, seed=1)
+        rows = rows_from_graph(g, 0.15, n_known=mode == "known-n")
+        x = engine.run(rows, chain, mode, 20_000, trace_stride=20_000).state.x
+        print(mode, library is not None, hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_iterate_bits_do_not_depend_on_the_blas_kernel(tmp_path):
+    """OpenBLAS picks its kernels by CPU, and OPENBLAS_CORETYPE forces one
+    in a single process. The iterate must not move under either kernel, on
+    either step path: its dot product uses no BLAS."""
+    g = weblike_graph(np.random.default_rng(101), 400)
+    (tmp_path / "g.pkl").write_bytes(pickle.dumps(g))
+    src = str(Path(centrasim.__file__).resolve().parents[1])
+    digests = {}
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_CHILD, str(tmp_path / "g.pkl")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for line in proc.stdout.splitlines():
+            mode, compiled, digest = line.split()
+            digests.setdefault(mode, {})[coretype, compiled] = digest
+    paths = {"True", "False"} if HAVE_CC else {"False"}
+    for mode in ("known-n", "unknown-n"):
+        assert set(digests[mode]) == {(c, p) for c in (None, "Prescott")
+                                      for p in paths}
+        assert len(set(digests[mode].values())) == 1, (mode, digests[mode])

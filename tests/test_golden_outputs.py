@@ -10,8 +10,7 @@ test_deterministic_outputs compares two runs of the same code; this test
 compares against the recorded bytes, so a change that moves any output in
 its last digit fails here. The centrality and oracle runs are checked once
 more without the compiled Brandes and BFS loops, and the pagerank runs
-twice more without the compiled engine steps (once without the library,
-once with it but without numpy's ddot), against the same digests. On a
+once more without the compiled engine steps, against the same digests. On a
 mismatch the first differing line is reported, located through the
 recorded per-line digests.
 
@@ -105,13 +104,12 @@ def test_python_oracle_loops_match_recorded_bytes(name, tmp_path, monkeypatch):
     _check(name, run_outputs(name, tmp_path))
 
 
-@pytest.mark.parametrize("missing", ["load", "ddot"])
+@pytest.mark.parametrize("missing", ["load"])
 @pytest.mark.parametrize("name", sorted(n for n in RUNS
                                         if RUNS[n][0].startswith("pagerank")))
 def test_python_step_loop_matches_recorded_bytes(name, missing, tmp_path,
                                                  monkeypatch):
-    """The pagerank runs on the Python step loop: without the library, or
-    with it but without numpy's ddot."""
+    """The pagerank runs on the Python step loop, without the library."""
     monkeypatch.setattr(_native, missing, lambda: None)
     _check(name, run_outputs(name, tmp_path))
 

@@ -143,13 +143,25 @@ def test_source_builds_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("bad", [np.zeros(4, dtype=np.int32),
-                                 np.zeros(8, dtype=np.int64)[::2],
-                                 np.zeros(5, dtype=np.int64)])
+def _step_on_an_empty_row():
+    steps, rows = _fig1_steps()
+    indptr = rows.indptr.copy()
+    indptr[1] = 0  # node 0's row is empty, its entries are node 1's
+    steps(replace(rows, indptr=indptr), 10)
+
+
+@pytest.mark.parametrize("bad", [
+    (TypeError, lambda: _native._buf(np.zeros(4, dtype=np.int32), np.int64, 4)),
+    (TypeError, lambda: _native._buf(np.zeros(8, dtype=np.int64)[::2],
+                                     np.int64, 4)),
+    (TypeError, lambda: _native._buf(np.zeros(5, dtype=np.int64), np.int64, 4)),
+    # the steps read a row's first entry before its loop
+    (ValueError, _step_on_an_empty_row)])
 def test_buffers_are_checked_before_the_call(bad):
+    error, call = bad
     assert _native._buf(np.zeros(4, dtype=np.int64), np.int64, 4)
-    with pytest.raises(TypeError):
-        _native._buf(bad, np.int64, 4)
+    with pytest.raises(error):
+        call()
 
 
 def _patch_csr(monkeypatch, name, change):
@@ -207,7 +219,7 @@ def _fig1_steps(kernel=None):
     chain = SurferChain(matrix=kernel or _metropolis_hastings(symmetrize(g)),
                         omega=0.15, seed=0)
     state = KaczmarzState.fresh(g.n, "unknown-n")
-    return _native.Steps(_Untouchable(), 0, state, chain), rows
+    return _native.Steps(_Untouchable(), state, chain), rows
 
 
 def test_rows_column_outside_the_graph_never_reaches_the_library():
@@ -302,10 +314,9 @@ def run_temporal(g, library):
     return outcome(out, chain)
 
 
-# without numpy's ddot both runs would take the Python steps; a single
-# node has no repair, so no temporal case
+# a single node has no repair, so no temporal case
 cases = [(run, "known-n", 0.0, 256), (run, "unknown-n", 0.15, 97),
-         (run_dist,), (run_temporal,)] if _native.ddot() else []
+         (run_dist,), (run_temporal,)]
 runs = 0
 for name, g in graphs:
     assert np.array_equal(_native.brandes(lib, g), _loop_betweenness(g)), name
@@ -359,5 +370,5 @@ def test_loops_run_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, \
         proc.stderr
-    runs = sum(4 if g.n > 1 else 3 for _, g in graphs) if _native.ddot() else 0
+    runs = sum(4 if g.n > 1 else 3 for _, g in graphs)
     assert proc.stdout.split() == [str(len(graphs)), str(runs)]

@@ -1,4 +1,6 @@
 """Invariants checked as properties over generated inputs."""
+import functools
+import operator
 import tempfile
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from centrasim.simulator import (ActivationToken, LocalityAudit,  # noqa: E402
 from centrasim.surfer import SurferChain, _metropolis_hastings  # noqa: E402
 
 from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, \
-    needs_steps, random_digraph, serialize_edge_list, \
+    random_digraph, serialize_edge_list, \
     serialize_temporal_edge_list  # noqa: E402
 from test_acceptance import weblike_graph  # noqa: E402
 from test_surfer import assert_kernel_equals_reference  # noqa: E402
@@ -209,11 +211,15 @@ def test_oracle_is_fixed_point_of_every_projection(g):
     *[st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)] * 2,
     st.floats(-1e6, 1e6), st.floats(0.0, 1.0))))
 def test_project_equals_one_expression_bit_for_bit(case):
-    """project's in-place form gives the bits of the plain expression."""
+    """project gives the bits of the projection written out in Python
+    floats: each product rounded, the products added left to right from
+    the first, then one update per entry."""
     xs, coef, target, alpha = case
-    xs, coef = np.array(xs), np.array(coef)
-    expect = xs + alpha * coef * (target - coef @ xs)
-    assert project(xs, coef, target, alpha).tobytes() == expect.tobytes()
+    dot = functools.reduce(operator.add, [float(c) * float(x)
+                                          for c, x in zip(coef, xs)])
+    expect = [x + alpha * c * (target - dot) for c, x in zip(coef, xs)]
+    got = project(np.array(xs), np.array(coef), target, alpha)
+    assert got.tobytes() == np.array(expect).tobytes()
 
 
 @st.composite
@@ -309,7 +315,7 @@ def _assert_same_run(compiled, python):
 _omegas = st.sampled_from([0.0, 0.15, 1.0])
 
 
-@needs_steps
+@needs_cc
 @settings(derandomize=True, deadline=None, max_examples=60)
 @example(dense50_graph(), "unknown-n", 0.15, 7, 3000, 2)
 @given(digraphs(), st.sampled_from(["known-n", "unknown-n"]), _omegas,
@@ -329,7 +335,7 @@ def test_compiled_steps_equal_python_step_loop(g, mode, omega, stride, budget,
     _assert_same_run(compiled, python)
 
 
-@needs_steps
+@needs_cc
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(snapshot_sequences(), _omegas, st.integers(1, 300), st.integers(1, 700),
        st.integers(0, 1500), st.integers(0, 2**32 - 1))
@@ -377,7 +383,7 @@ def test_simulator_equals_unknown_n_engine(g, omega, stride, budget, seed):
     assert assemble_vector(sim.actors).tobytes() == eng.state.x.tobytes()
 
 
-@needs_steps
+@needs_cc
 @settings(derandomize=True, deadline=None, max_examples=60)
 # a trace row every 300 steps, so one block spans two uniform blocks, and a
 # budget that is not a multiple of it

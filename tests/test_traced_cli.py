@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from centrasim import _native
 from centrasim.graph import parse_edge_list
 from centrasim.levelsets import run_levelset
 
@@ -79,7 +78,7 @@ def test_traced_cli_counts_per_step_calls(case, tmp_path):
     traced = json.loads(trace.read_text())
     for name in names:
         assert len(traced["calls"].get(name, [])) > 0, f"{name} not counted"
-    if compiled and _native.ddot() is not None:
+    if compiled:
         for name in STEP_CALLS:
             assert not traced["calls"].get(name), f"{name} ran in Python"
     # main looks each command up by name, so the tracer's wrapper runs
