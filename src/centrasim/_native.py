@@ -390,6 +390,14 @@ def _rows_bufs(rows, n):
     return bufs
 
 
+def _held_layout(rows, last):
+    """True if rows share last's indptr and indices, already checked, and
+    neither can have changed since: both are read-only."""
+    return (last is not None and rows.indptr is last.indptr
+            and rows.indices is last.indices and rows.n == last.n
+            and not (rows.indptr.flags.writeable or rows.indices.flags.writeable))
+
+
 class Steps:
     """Blocks of engine steps for one state and chain, run by the library.
 
@@ -399,7 +407,9 @@ class Steps:
     sampler would, and advances the chain, state.x, state.visits and
     state.k as the Python steps do. A rows or kernel object is checked the
     first time a block runs on it, and the call's arguments are kept for
-    the pair in use.
+    the pair in use. Rows that share the last rows' read-only indptr and
+    indices (the temporal engine's held layout) have only their data
+    checked.
 
     With on_block, each library call also writes its steps' nodes to a
     trail of at most BLOCK_STEPS, and on_block(k, nodes) then gets the
@@ -419,6 +429,7 @@ class Steps:
                       None if on_block is None else self._trail.ctypes.data)
         self._known = state.mode == "known-n"
         self._kernels = {}  # id -> (kernel, its arguments): kept alive here
+        self._layout = (None, None)  # last rows bound, their layout's arguments
         self._pair, self._args = (None, None), None
 
     def _bind(self, rows, kernel):
@@ -426,12 +437,18 @@ class Steps:
         hit = self._kernels.get(id(kernel))
         if hit is None:
             hit = self._kernels[id(kernel)] = (kernel, _kernel_bufs(kernel, n))
+        last, layout = self._layout
+        if _held_layout(rows, last):
+            row_bufs = (*layout, _buf(rows.data, np.float64, rows.indices.size))
+        else:
+            row_bufs = _rows_bufs(rows, n)
+        self._layout = (rows, row_bufs[:2])
         if self._known:
             mode = (0, rows.m, 1.0 / rows.n, rows.m / rows.n)
         else:
             mode = (1, rows.m, 0.0, 0.0)
-        args = (n, float(self._chain.omega), *hit[1], *_rows_bufs(rows, n),
-                *mode, *self._tail)
+        args = (n, float(self._chain.omega), *hit[1], *row_bufs, *mode,
+                *self._tail)
         # as ctypes values: a call then converts only its first four
         return tuple(t(a) for t, a in zip(self._fn.argtypes[4:], args))
 

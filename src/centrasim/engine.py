@@ -10,7 +10,7 @@ starting from x(0) = 0, and the modes differ only in a, y and the rows:
     known size:    a = 1/n,              y = m/n
     unknown size:  a = visits[s]/(k+1),  y = m*a
     temporal:      as unknown size, on the rows of the persistent
-                   average, rebuilt whenever a snapshot enters
+                   average, renewed whenever a snapshot enters
 
 The unknown-size form never reads the network size anywhere; the
 visit-frequency stepsize converges to 1/n on its own, and its inverse
@@ -33,7 +33,7 @@ unknown-size steps, or its own Python block of activations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -219,13 +219,33 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
     moment the schedule enters it, before any step taken inside it; so a
     snapshot entry also ends a block of steps. Past the last snapshot the
     final one stays active.
+
+    While the average keeps its pattern (the same indptr and indices
+    objects), an entry reuses the last rows' layout, made read-only, and
+    writes only the new off-diagonal coefficients, -(1-m) * wbar, into a
+    new data array; the compiled steps then check and swap only that
+    array. A new pattern goes through build_regression_rows.
     """
     state = KaczmarzState.fresh(snapshot_mats[0].shape[0], "temporal")
     last = len(snapshot_mats) - 1
+    held = None  # (wbar, rows, off-diagonal mask) at the last new pattern
 
     def enter(t):
+        nonlocal held
         pa.update(snapshot_mats[t])
-        return build_regression_rows(pa.wbar_rows(), m, n_known=False)
+        wbar = pa.wbar_rows()
+        if held is not None:
+            first, rows, off = held
+            if wbar.indptr is first.indptr and wbar.indices is first.indices:
+                data = rows.data.copy()
+                data[off] = -(1.0 - m) * wbar.data
+                return replace(rows, data=data)
+        rows = build_regression_rows(wbar, m, n_known=False)
+        rows.indptr.flags.writeable = rows.indices.flags.writeable = False
+        off = np.ones(rows.data.size, dtype=bool)
+        off[rows.indptr[:-1]] = False  # each row's diagonal comes first
+        held = (wbar, rows, off)
+        return rows
 
     active, rows = 0, enter(0)
     steps = _engine_steps(state, chain)

@@ -7,7 +7,7 @@ column order, and column j carries the out-links of node j with weight
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -118,49 +118,61 @@ class PersistentAverage:
     After k updates, wbar equals
         sum_{t=1..k} rho^(k-t) W(t) / Z_k,   Z_k = sum_{j=0..k-1} rho^j,
     maintained incrementally as Z_k = rho*Z_{k-1} + 1 and
-    wbar += (W(k) - wbar) / Z_k.
+    wbar + (W(k) - wbar) / Z_k over the union of both patterns: the float
+    operations of scipy's a + (b - a) * s, and like it dropping the entries
+    that come out exactly zero (where b - a is zero scipy computes a + 0
+    and this a + 0 * s; both give a).
+
+    wbar keeps its sorted keys (row * n + column): an update finds the
+    snapshot's keys among them with one searchsorted and inserts only the
+    missing ones. When none is missing and none drops, the new wbar shares
+    the old indptr and indices. No update writes into wbar or a snapshot's
+    arrays; the first wbar is the first snapshot itself.
     """
 
     rho: float
     wbar: Csr = None
     z: float = 0.0
+    _keys: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"forgetting factor rho={self.rho} outside (0,1]")
 
     def update(self, w_k):
-        if self.wbar is not None and w_k.shape != self.wbar.shape:
+        a = self.wbar
+        if a is not None and w_k.shape != a.shape:
             raise ValueError(
-                f"snapshot shape {w_k.shape} != running shape {self.wbar.shape}"
+                f"snapshot shape {w_k.shape} != running shape {a.shape}"
             )
         self.z = self.rho * self.z + 1.0
-        self.wbar = w_k if self.wbar is None else _blend(self.wbar, w_k, 1.0 / self.z)
+        kb = w_k._row_ids * w_k.shape[1] + w_k.indices
+        if a is None:
+            self.wbar, self._keys = w_k, kb
+            return self
+        keys, va = self._keys, a.data
+        pos = np.searchsorted(keys, kb)
+        miss = keys.take(pos, mode="clip") != kb
+        if miss.any():
+            keys = np.insert(keys, pos[miss], kb[miss])
+            va = np.insert(va, pos[miss], 0.0)
+            # each key lands past the missing keys inserted before it
+            pos = pos + np.cumsum(miss) - miss
+        vb = np.zeros(keys.size)
+        vb[pos] = w_k.data
+        vals = va + (vb - va) * (1.0 / self.z)
+        keep = vals != 0
+        if not keep.all():
+            keys, vals = keys[keep], vals[keep]
+        if keys is self._keys:
+            self.wbar = Csr(a.indptr, a.indices, vals, a.shape)
+        else:
+            n = a.shape[1]
+            self.wbar = Csr(np.searchsorted(keys, np.arange(a.shape[0] + 1) * n),
+                            keys % n, vals, a.shape)
+            self._keys = keys
         return self
 
     def wbar_rows(self):
         """The current average, row-sliceable Csr."""
         return self.wbar
-
-
-def _blend(a, b, s):
-    """a + (b - a) * s entry by entry over the union of both patterns.
-
-    These are the float operations of scipy's a + (b - a) * s, and like it
-    the result drops the entries that come out exactly zero. scipy also
-    drops the zeros of b - a before scaling; at those entries it computes
-    a + 0 where this computes a + 0 * s, and both give a.
-    """
-    n = a.shape[1]
-    ka = a._row_ids * n + a.indices
-    kb = b._row_ids * n + b.indices
-    keys = _sorted_unique(np.concatenate((ka, kb)))
-    va = np.zeros(keys.size)
-    vb = np.zeros(keys.size)
-    va[np.searchsorted(keys, ka)] = a.data
-    vb[np.searchsorted(keys, kb)] = b.data
-    vals = va + (vb - va) * s
-    keep = vals != 0
-    rows, cols = np.divmod(keys[keep], n)
-    return Csr(np.searchsorted(rows, np.arange(a.shape[0] + 1)), cols,
-               vals[keep], a.shape)

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import centrasim
-from centrasim import _native
+from centrasim import _native, engine
 from centrasim.engine import KaczmarzState
 from centrasim.graph import DirectedGraph, parse_edge_list, symmetrize
+from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
 from centrasim.oracles import rows_from_graph
 from centrasim.surfer import SurferChain, _metropolis_hastings
 
@@ -211,6 +212,8 @@ class _Untouchable:
     def centrasim_steps(self, *args):
         raise AssertionError("checked input reached the library")
 
+    centrasim_steps.argtypes = _native._SIGNATURES["centrasim_steps"][1]
+
 
 def _fig1_steps(kernel=None):
     """Steps on fig1 over an untouchable library, and fig1's rows."""
@@ -248,6 +251,64 @@ def test_kernel_row_not_summing_to_one_never_reaches_the_library():
     steps, rows = _fig1_steps(kernel=replace(kernel, cum=cum))
     with pytest.raises(ValueError, match="1.0"):
         steps(rows, 10)
+
+
+def _temporal_rows():
+    """The rows the temporal engine enters for fig1, its reverse and fig1
+    again; the stepping is stubbed out, so the library is never called."""
+    g = parse_edge_list(FIG1_TEXT)
+    reverse = DirectedGraph.from_edges(g.n, [(b, a) for a, b in g.edges])
+    mats = [build_hyperlink_matrix(h) for h in (g, reverse, g)]
+    kernel = _metropolis_hastings(symmetrize(g))
+    entered = []
+
+    def stub_steps(state, chain):
+        def steps(rows, count):
+            entered.append(rows)
+            state.k += count
+            return chain.current
+        return steps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_engine_steps", stub_steps)
+        engine.run_temporal(mats, [kernel] * 3,
+                            SurferChain(matrix=kernel, omega=0.15, seed=0),
+                            PersistentAverage(rho=0.9), 0.15, 30, 10,
+                            trace_stride=31)  # no trace row: nothing stepped
+    return entered
+
+
+def test_reused_temporal_layout_is_read_only():
+    first, second, third = _temporal_rows()
+    # the reverse adds links; fig1's second entry keeps the pattern
+    assert second.indices is not first.indices
+    assert third.indices is second.indices and third.indptr is second.indptr
+    assert third.data is not second.data
+    for a in (third.indptr, third.indices):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_new_layout_after_a_held_one_never_reaches_the_library():
+    held = _temporal_rows()[-1]
+    steps, _ = _fig1_steps()
+    steps(held, 0)  # binds the held layout without a library call
+    # a new indices array, read-only like a held one, is checked in full
+    indices = held.indices + held.n
+    indices.flags.writeable = False
+    with pytest.raises(ValueError, match="column"):
+        steps(replace(held, indices=indices), 10)
+    # on the held layout, the data is still checked
+    with pytest.raises(TypeError):
+        steps(replace(held, data=held.data[:-1].copy()), 10)
+
+
+def test_writable_layout_is_checked_again():
+    steps, rows = _fig1_steps()
+    steps(rows, 0)
+    rows.indices[-1] = rows.n  # rows_from_graph's arrays stay writable
+    with pytest.raises(ValueError, match="column"):
+        steps(replace(rows, data=rows.data.copy()), 10)
 
 
 # the child loads the sanitized library and checks every loop on every
@@ -301,16 +362,20 @@ def run_dist(g, library):
 
 
 def run_temporal(g, library):
-    # g and its reverse, repaired, twice over, on one kernel: only the rows
-    # change, at k = 150, 300 and 450, inside the chain's blocks of 256 steps
+    # g, its reverse, g and a subgraph of g, repaired, three times over, on
+    # one kernel: only the rows change, every 50 steps, inside and at the
+    # edge of the chain's blocks of 256 steps; most entries keep the
+    # average's pattern, so the steps swap only the rows' data
     _native.load = lambda: library
     reverse = DirectedGraph.from_edges(g.n, [(b, a) for a, b in g.edges])
-    snaps = [repair_dangling(h, "uniform-column") for h in (g, reverse)] * 2
+    sub = DirectedGraph(n=g.n, keys=g.keys[::2], labels=g.labels)
+    snaps = [repair_dangling(h, "uniform-column")
+             for h in (g, reverse, g, sub)] * 3
     kernel = _metropolis_hastings(symmetrize(g))
     chain = SurferChain(matrix=kernel, omega=0.15, seed=g.n)
     out = engine.run_temporal([build_hyperlink_matrix(h) for h in snaps],
-                              [kernel] * 4, chain, PersistentAverage(rho=0.9),
-                              0.15, 700, 150, trace_stride=97)
+                              [kernel] * 12, chain, PersistentAverage(rho=0.9),
+                              0.15, 700, 50, trace_stride=97)
     return outcome(out, chain)
 
 

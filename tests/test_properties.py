@@ -11,12 +11,12 @@ import scipy.sparse as sp
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from centrasim import _native  # noqa: E402
+from centrasim import _native, engine  # noqa: E402
 from centrasim.cli import KEYS, main  # noqa: E402
 from centrasim.engine import project, run, run_temporal  # noqa: E402
 from centrasim.errors import RepairError  # noqa: E402
 from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
-                             parse_edge_list, parse_temporal_edge_list,
+                             map_distinct, parse_edge_list, parse_temporal_edge_list,
                              repair_dangling, symmetrize)
 from centrasim.levelsets import run_levelset  # noqa: E402
 from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa: E402
@@ -287,6 +287,62 @@ def test_persistent_average_equals_scipy_bit_for_bit(graphs, rho):
         _assert_same_csr(pa.wbar, ref)
         assert column_sums(pa.wbar).tobytes() == \
             np.asarray(ref.sum(axis=0)).ravel().tobytes()
+
+
+@st.composite
+def snapshot_repeats(draw):
+    """1..12 snapshots drawn with repeats from a pool over one node set:
+    1..3 uniform-column repaired graphs and a subgraph of the first. A
+    repeat or the subgraph mostly keeps the average's pattern; a new graph
+    mostly adds to it."""
+    n = draw(st.integers(2, 12))
+    pool = draw(st.lists(digraphs(min_n=n, max_n=n), min_size=1, max_size=3))
+    keep = draw(st.lists(st.booleans(), min_size=pool[0].keys.size,
+                         max_size=pool[0].keys.size))
+    pool.append(DirectedGraph(n=n, keys=pool[0].keys[np.array(keep, dtype=bool)],
+                              labels=pool[0].labels))
+    pool = [repair_dangling(g, "uniform-column") for g in pool]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return [pool[i] for i in picks]
+
+
+# every entry's average against scipy's, and the rows the temporal engine
+# steps on against rows built afresh from that average, whether the entry
+# kept the pattern (a value update on a held layout) or changed it
+@settings(derandomize=True, deadline=None)
+@given(snapshot_repeats(), st.sampled_from([1e-17, 0.3, 0.9, 1.0]))
+def test_pattern_reuse_equals_fresh_build_bit_for_bit(graphs, rho):
+    mats = map_distinct(build_hyperlink_matrix, graphs)
+    pa, ref, z = PersistentAverage(rho=rho), None, 0.0
+    for w in mats:
+        pa.update(w)
+        z = rho * z + 1.0
+        ref = as_scipy(w) if ref is None else ref + (as_scipy(w) - ref) * (1.0 / z)
+        _assert_same_csr(pa.wbar, ref)
+
+    pa, entered = PersistentAverage(rho=rho), []
+    engine_steps = engine._engine_steps
+
+    def recording_steps(state, chain):
+        steps = engine_steps(state, chain)
+
+        def record(rows, count):
+            if not entered or rows is not entered[-1][0]:
+                entered.append((rows, pa.wbar))
+            return steps(rows, count)
+        return record
+
+    kernel = _metropolis_hastings(symmetrize(graphs[0]))
+    chain = SurferChain(matrix=kernel, omega=0.15, seed=len(graphs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_engine_steps", recording_steps)
+        run_temporal(mats, [kernel] * len(mats), chain, pa, 0.15,
+                     3 * len(mats), 3, trace_stride=2)
+    assert len(entered) == len(mats)
+    for rows, wbar in entered:
+        fresh = build_regression_rows(wbar, 0.15, n_known=False)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(rows, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 def _both_paths(run_once):
