@@ -390,12 +390,13 @@ def _rows_bufs(rows, n):
     return bufs
 
 
-def _held_layout(rows, last):
-    """True if rows share last's indptr and indices, already checked, and
-    neither can have changed since: both are read-only."""
+def _same_frozen_layout(rows, last):
+    """True if rows lie on last's indptr and indices, which no one can
+    have changed since last was checked: both live in bytes objects."""
     return (last is not None and rows.indptr is last.indptr
             and rows.indices is last.indices and rows.n == last.n
-            and not (rows.indptr.flags.writeable or rows.indices.flags.writeable))
+            and isinstance(rows.indptr.base, bytes)
+            and isinstance(rows.indices.base, bytes))
 
 
 class Steps:
@@ -407,9 +408,9 @@ class Steps:
     sampler would, and advances the chain, state.x, state.visits and
     state.k as the Python steps do. A rows or kernel object is checked the
     first time a block runs on it, and the call's arguments are kept for
-    the pair in use. Rows that share the last rows' read-only indptr and
-    indices (the temporal engine's held layout) have only their data
-    checked.
+    the pair in use. Rows on the last bound rows' indptr and indices have
+    only their data checked when that layout is frozen (as
+    oracles.build_regression_rows leaves it): it cannot have changed.
 
     With on_block, each library call also writes its steps' nodes to a
     trail of at most BLOCK_STEPS, and on_block(k, nodes) then gets the
@@ -438,7 +439,7 @@ class Steps:
         if hit is None:
             hit = self._kernels[id(kernel)] = (kernel, _kernel_bufs(kernel, n))
         last, layout = self._layout
-        if _held_layout(rows, last):
+        if _same_frozen_layout(rows, last):
             row_bufs = (*layout, _buf(rows.data, np.float64, rows.indices.size))
         else:
             row_bufs = _rows_bufs(rows, n)

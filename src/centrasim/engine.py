@@ -33,7 +33,7 @@ unknown-size steps, or its own Python block of activations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,31 +221,22 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
     final one stays active.
 
     While the average keeps its pattern (the same indptr and indices
-    objects), an entry reuses the last rows' layout, made read-only, and
-    writes only the new off-diagonal coefficients, -(1-m) * wbar, into a
-    new data array; the compiled steps then check and swap only that
-    array. A new pattern goes through build_regression_rows.
+    arrays), an entry's rows share the last entry's layout and only their
+    data is new (build_regression_rows' like).
     """
     state = KaczmarzState.fresh(snapshot_mats[0].shape[0], "temporal")
     last = len(snapshot_mats) - 1
-    held = None  # (wbar, rows, off-diagonal mask) at the last new pattern
+    held = (None, None)  # the average and rows of the last entry
 
     def enter(t):
         nonlocal held
         pa.update(snapshot_mats[t])
-        wbar = pa.wbar_rows()
-        if held is not None:
-            first, rows, off = held
-            if wbar.indptr is first.indptr and wbar.indices is first.indices:
-                data = rows.data.copy()
-                data[off] = -(1.0 - m) * wbar.data
-                return replace(rows, data=data)
-        rows = build_regression_rows(wbar, m, n_known=False)
-        rows.indptr.flags.writeable = rows.indices.flags.writeable = False
-        off = np.ones(rows.data.size, dtype=bool)
-        off[rows.indptr[:-1]] = False  # each row's diagonal comes first
-        held = (wbar, rows, off)
-        return rows
+        wbar, (prev, like) = pa.wbar_rows(), held
+        if (prev is None or wbar.indptr is not prev.indptr
+                or wbar.indices is not prev.indices):
+            like = None
+        held = (wbar, build_regression_rows(wbar, m, n_known=False, like=like))
+        return held[1]
 
     active, rows = 0, enter(0)
     steps = _engine_steps(state, chain)

@@ -123,17 +123,18 @@ class PersistentAverage:
     that come out exactly zero (where b - a is zero scipy computes a + 0
     and this a + 0 * s; both give a).
 
-    wbar keeps its sorted keys (row * n + column): an update finds the
-    snapshot's keys among them with one searchsorted and inserts only the
-    missing ones. When none is missing and none drops, the new wbar shares
-    the old indptr and indices. No update writes into wbar or a snapshot's
-    arrays; the first wbar is the first snapshot itself.
+    The average keeps its sorted keys (row * n + column), tied to the
+    wbar they describe: an update finds the snapshot's keys among them
+    with one searchsorted and inserts only the missing ones. When none is
+    missing and none drops, the new wbar shares the old indptr and indices.
+    No update writes into wbar or a snapshot's arrays; the first wbar is
+    the first snapshot itself.
     """
 
     rho: float
     wbar: Csr = None
     z: float = 0.0
-    _keys: np.ndarray = field(default=None, repr=False)
+    _keyed: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
@@ -146,11 +147,15 @@ class PersistentAverage:
                 f"snapshot shape {w_k.shape} != running shape {a.shape}"
             )
         self.z = self.rho * self.z + 1.0
-        kb = w_k._row_ids * w_k.shape[1] + w_k.indices
+        n = w_k.shape[1]
+        kb = w_k._row_ids * n + w_k.indices
         if a is None:
-            self.wbar, self._keys = w_k, kb
+            self.wbar, self._keyed = w_k, (w_k, kb)
             return self
-        keys, va = self._keys, a.data
+        owner, held = self._keyed
+        if owner is not a:  # a wbar given from outside: key it here
+            held = a._row_ids * n + a.indices
+        keys, va = held, a.data
         pos = np.searchsorted(keys, kb)
         miss = keys.take(pos, mode="clip") != kb
         if miss.any():
@@ -164,13 +169,12 @@ class PersistentAverage:
         keep = vals != 0
         if not keep.all():
             keys, vals = keys[keep], vals[keep]
-        if keys is self._keys:
+        if keys is held:
             self.wbar = Csr(a.indptr, a.indices, vals, a.shape)
         else:
-            n = a.shape[1]
             self.wbar = Csr(np.searchsorted(keys, np.arange(a.shape[0] + 1) * n),
                             keys % n, vals, a.shape)
-            self._keys = keys
+        self._keyed = (self.wbar, keys)
         return self
 
     def wbar_rows(self):

@@ -87,37 +87,60 @@ class LsSolution:
     iterations: int = 0
 
 
-def _assemble(n, m, rows, cols, vals, n_known):
-    """Stack rows from a unit diagonal and the off-diagonal (row, col,
-    value) triples, which arrive sorted by row, then by column."""
+def _off_diagonal(indptr):
+    """Places of the off-diagonal entries in a rows layout: all but the
+    first of each row, which holds the diagonal."""
+    off = np.ones(indptr[-1], dtype=bool)
+    off[indptr[:-1]] = False
+    return off
+
+
+def _layout(n, rows, cols):
+    """indptr and indices of stacked rows, each row's diagonal first, from
+    the off-diagonal (row, col) pairs, sorted by row, then by column."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n) + 1, out=indptr[1:])
-    first = indptr[:-1]
-    off = np.ones(indptr[-1], dtype=bool)
-    off[first] = False
     indices = np.empty(indptr[-1], dtype=np.int64)
-    indices[first] = np.arange(n)
-    indices[off] = cols
-    data = np.empty(indptr[-1])
-    data[first] = 1.0
-    data[off] = vals
+    indices[indptr[:-1]] = np.arange(n)
+    indices[_off_diagonal(indptr)] = cols
+    return indptr, indices
+
+
+def _frozen(a):
+    """A copy of a in memory that no one can write: a bytes object."""
+    return np.frombuffer(a.tobytes(), a.dtype)
+
+
+def _fill(n, m, indptr, indices, vals, n_known):
+    """Rows on a layout: 1.0 on each row's diagonal, vals in the
+    off-diagonal places in order."""
+    data = np.ones(indptr[-1])
+    data[_off_diagonal(indptr)] = vals
     return RegressionRows(n=n, m=m, indptr=indptr, indices=indices, data=data,
                           y=m / n if n_known else None)
 
 
-def build_regression_rows(w, m, n_known=True):
+def build_regression_rows(w, m, n_known=True, like=None):
     """Rows of I - (1-m)W from a column-stochastic Csr W, read row by row.
 
     Every row's diagonal is 1, so a diagonal entry of W raises ValueError.
+    The rows' layout (indptr and indices) is frozen: it lives in memory no
+    one can write. like, rows built here from an earlier W with w's very
+    indptr and indices arrays, lends the new rows that layout, and only
+    the data is new.
     """
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
-    rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
-    loops = rows[rows == w.indices]
-    if loops.size:
-        raise ValueError(f"W has a diagonal entry in row {loops[0]}")
-    return _assemble(w.shape[0], m, rows, w.indices, -(1.0 - m) * w.data,
-                     n_known)
+    n = w.shape[0]
+    if like is not None:
+        indptr, indices = like.indptr, like.indices
+    else:
+        rows = np.repeat(np.arange(n), np.diff(w.indptr))
+        loops = rows[rows == w.indices]
+        if loops.size:
+            raise ValueError(f"W has a diagonal entry in row {loops[0]}")
+        indptr, indices = map(_frozen, _layout(n, rows, w.indices))
+    return _fill(n, m, indptr, indices, -(1.0 - m) * w.data, n_known)
 
 
 def rows_from_graph(g, m, n_known=True):
@@ -130,7 +153,8 @@ def rows_from_graph(g, m, n_known=True):
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
     rows, cols, outdeg = in_links(g)
-    return _assemble(g.n, m, rows, cols, -(1.0 - m) / outdeg[cols], n_known)
+    return _fill(g.n, m, *_layout(g.n, rows, cols), -(1.0 - m) / outdeg[cols],
+                 n_known)
 
 
 def ls_objective(x, rows):

@@ -206,6 +206,25 @@ class TestPersistentAverage:
             sums = np.asarray(as_scipy(pa.wbar).sum(axis=0)).ravel()
             assert np.abs(sums - 1).max() < 1e-12
 
+    def test_average_given_or_set_keys_afresh(self):
+        # the kept keys belong to the average they were made for: one
+        # given at construction or assigned between updates is keyed anew
+        wa = build_hyperlink_matrix(parse_edge_list("a b\nb a\nc a"))
+        wb = build_hyperlink_matrix(parse_edge_list("a c\nc a\nb c"))
+        ref = PersistentAverage(rho=0.5)
+        for w in (wa, wb, wa):
+            ref.update(w)
+        given = PersistentAverage(rho=0.5, wbar=wa, z=1.0)
+        reset = PersistentAverage(rho=0.5).update(wb)
+        reset.wbar = wa
+        for pa in (given, reset):
+            pa.update(wb).update(wa)
+            for name in ("indptr", "indices", "data"):
+                assert (getattr(pa.wbar, name).tobytes()
+                        == getattr(ref.wbar, name).tobytes())
+        with pytest.raises(TypeError):
+            PersistentAverage(rho=0.5, _keyed=(wa, None))
+
     def test_bad_rho(self):
         with pytest.raises(ValueError):
             PersistentAverage(rho=0.0)

@@ -278,7 +278,7 @@ def _temporal_rows():
     return entered
 
 
-def test_reused_temporal_layout_is_read_only():
+def test_reused_temporal_layout_is_frozen():
     first, second, third = _temporal_rows()
     # the reverse adds links; fig1's second entry keeps the pattern
     assert second.indices is not first.indices
@@ -287,15 +287,17 @@ def test_reused_temporal_layout_is_read_only():
     for a in (third.indptr, third.indices):
         with pytest.raises(ValueError):
             a[0] = 0
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
 
 
 def test_new_layout_after_a_held_one_never_reaches_the_library():
     held = _temporal_rows()[-1]
     steps, _ = _fig1_steps()
     steps(held, 0)  # binds the held layout without a library call
-    # a new indices array, read-only like a held one, is checked in full
-    indices = held.indices + held.n
-    indices.flags.writeable = False
+    # a new indices array on the held indptr, frozen like the held one,
+    # is checked in full
+    indices = np.frombuffer((held.indices + held.n).tobytes(), np.int64)
     with pytest.raises(ValueError, match="column"):
         steps(replace(held, indices=indices), 10)
     # on the held layout, the data is still checked
@@ -307,6 +309,18 @@ def test_writable_layout_is_checked_again():
     steps, rows = _fig1_steps()
     steps(rows, 0)
     rows.indices[-1] = rows.n  # rows_from_graph's arrays stay writable
+    with pytest.raises(ValueError, match="column"):
+        steps(replace(rows, data=rows.data.copy()), 10)
+
+
+def test_read_only_layout_is_checked_again():
+    # a read-only flag can be turned back: only a frozen layout is trusted
+    steps, rows = _fig1_steps()
+    rows.indptr.flags.writeable = rows.indices.flags.writeable = False
+    steps(rows, 0)
+    rows.indices.flags.writeable = True
+    rows.indices[-1] = rows.n
+    rows.indices.flags.writeable = False
     with pytest.raises(ValueError, match="column"):
         steps(replace(rows, data=rows.data.copy()), 10)
 

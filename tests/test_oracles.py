@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from centrasim import _native
 from centrasim.graph import parse_edge_list, repair_dangling
 from centrasim.matrix import Csr, PersistentAverage, build_hyperlink_matrix
-from centrasim.oracles import (_assemble, _loop_all_pairs, _loop_betweenness,
+from centrasim.oracles import (_fill, _layout, _loop_all_pairs, _loop_betweenness,
                                build_regression_rows, bfs_all_pairs,
                                brandes_betweenness, direct_ls_solve,
                                ls_objective, power_method,
@@ -52,8 +52,9 @@ def _reference_matrix_rows(w, m, n_known=True):
     assert not w.diagonal().any()
     coo = w.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    return _assemble(w.shape[0], m, coo.row[order], coo.col[order],
-                     -(1.0 - m) * coo.data[order], n_known)
+    n = w.shape[0]
+    return _fill(n, m, *_layout(n, coo.row[order], coo.col[order]),
+                 -(1.0 - m) * coo.data[order], n_known)
 
 
 def _row_build_cases():
