@@ -31,7 +31,7 @@ Python twin, which gives the same bits about 30 times more slowly
 and the simulator its Python block, about 14 times more slowly (30 000
 activations there: 0.34 s against 0.024 s). Every array handed to the
 library is checked first: its dtype, layout and size, and every index it
-holds.
+holds; ``Steps`` checks a rows or kernel object once: its layout is frozen.
 """
 from __future__ import annotations
 
@@ -390,15 +390,6 @@ def _rows_bufs(rows, n):
     return bufs
 
 
-def _same_frozen_layout(rows, last):
-    """True if rows lie on last's indptr and indices, which no one can
-    have changed since last was checked: both live in bytes objects."""
-    return (last is not None and rows.indptr is last.indptr
-            and rows.indices is last.indices and rows.n == last.n
-            and isinstance(rows.indptr.base, bytes)
-            and isinstance(rows.indices.base, bytes))
-
-
 class Steps:
     """Blocks of engine steps for one state and chain, run by the library.
 
@@ -407,10 +398,9 @@ class Steps:
     chain's uniforms at its position, draws a new block as the Python
     sampler would, and advances the chain, state.x, state.visits and
     state.k as the Python steps do. A rows or kernel object is checked the
-    first time a block runs on it, and the call's arguments are kept for
-    the pair in use. Rows on the last bound rows' indptr and indices have
-    only their data checked when that layout is frozen (as
-    oracles.build_regression_rows leaves it): it cannot have changed.
+    first time a block runs on it (what the loop indexes by is frozen), and
+    the call's arguments are kept for the pair in use; rows on the last
+    bound rows' indptr and indices have only their data checked.
 
     With on_block, each library call also writes its steps' nodes to a
     trail of at most BLOCK_STEPS, and on_block(k, nodes) then gets the
@@ -430,7 +420,6 @@ class Steps:
                       None if on_block is None else self._trail.ctypes.data)
         self._known = state.mode == "known-n"
         self._kernels = {}  # id -> (kernel, its arguments): kept alive here
-        self._layout = (None, None)  # last rows bound, their layout's arguments
         self._pair, self._args = (None, None), None
 
     def _bind(self, rows, kernel):
@@ -438,12 +427,13 @@ class Steps:
         hit = self._kernels.get(id(kernel))
         if hit is None:
             hit = self._kernels[id(kernel)] = (kernel, _kernel_bufs(kernel, n))
-        last, layout = self._layout
-        if _same_frozen_layout(rows, last):
-            row_bufs = (*layout, _buf(rows.data, np.float64, rows.indices.size))
+        last = self._pair[0]
+        if (last is not None and rows.indptr is last.indptr
+                and rows.indices is last.indices and rows.n == n):
+            row_bufs = (self._args[5].value, self._args[6].value,  # as bound
+                        _buf(rows.data, np.float64, rows.indices.size))
         else:
             row_bufs = _rows_bufs(rows, n)
-        self._layout = (rows, row_bufs[:2])
         if self._known:
             mode = (0, rows.m, 1.0 / rows.n, rows.m / rows.n)
         else:

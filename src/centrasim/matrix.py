@@ -53,6 +53,11 @@ def _sorted_unique(keys):
     return keys[first]
 
 
+def frozen(a):
+    """a, or a copy of it, in a bytes object, which nothing can write."""
+    return a if isinstance(a.base, bytes) else np.frombuffer(a.tobytes(), a.dtype)
+
+
 def in_links(g):
     """(rows, cols, outdeg): W[rows, cols] = 1/outdeg[cols], sorted by row,
     then column; a uniform column counts n-1 out-links."""

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .levelsets import CentralityVector
-from .matrix import Csr, apply_google_matrix, in_links
+from .matrix import Csr, apply_google_matrix, frozen, in_links
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,9 @@ class RegressionRows:
 
     Row i is indices[indptr[i]:indptr[i+1]] with the coefficients at the
     same positions of data: i itself (the diagonal, 1.0), then its sorted
-    in-neighbor columns. The compiled engine steps read the flat arrays;
-    idx and coef are their per-row views, built on first read. y is the
+    in-neighbor columns; indptr and indices are frozen (matrix.frozen),
+    data is writable. The compiled engine steps read the flat arrays; idx
+    and coef are their per-row views, built on first read. y is the
     common target m/n, or None when the network size is withheld. No
     engine step reads y (known size takes m/n from m and n, unknown size
     its own running estimate); only the residual diagnostic, ls_objective,
@@ -59,6 +60,10 @@ class RegressionRows:
     indices: np.ndarray
     data: np.ndarray
     y: float | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "indptr", frozen(self.indptr))
+        object.__setattr__(self, "indices", frozen(self.indices))
 
     @cached_property
     def idx(self):
@@ -106,11 +111,6 @@ def _layout(n, rows, cols):
     return indptr, indices
 
 
-def _frozen(a):
-    """A copy of a in memory that no one can write: a bytes object."""
-    return np.frombuffer(a.tobytes(), a.dtype)
-
-
 def _fill(n, m, indptr, indices, vals, n_known):
     """Rows on a layout: 1.0 on each row's diagonal, vals in the
     off-diagonal places in order."""
@@ -124,10 +124,9 @@ def build_regression_rows(w, m, n_known=True, like=None):
     """Rows of I - (1-m)W from a column-stochastic Csr W, read row by row.
 
     Every row's diagonal is 1, so a diagonal entry of W raises ValueError.
-    The rows' layout (indptr and indices) is frozen: it lives in memory no
-    one can write. like, rows built here from an earlier W with w's very
-    indptr and indices arrays, lends the new rows that layout, and only
-    the data is new.
+    like, rows built here from an earlier W with w's very indptr and
+    indices arrays, lends the new rows its frozen layout, and only the data
+    is new.
     """
     if not 0.0 < m < 1.0:
         raise ValueError(f"damping factor m={m} outside (0,1)")
@@ -139,7 +138,7 @@ def build_regression_rows(w, m, n_known=True, like=None):
         loops = rows[rows == w.indices]
         if loops.size:
             raise ValueError(f"W has a diagonal entry in row {loops[0]}")
-        indptr, indices = map(_frozen, _layout(n, rows, w.indices))
+        indptr, indices = _layout(n, rows, w.indices)
     return _fill(n, m, indptr, indices, -(1.0 - m) * w.data, n_known)
 
 

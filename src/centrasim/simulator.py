@@ -34,9 +34,9 @@ from .engine import KaczmarzState, choose_path, drive, project
 @dataclass
 class NodeActor:
     id: int
-    in_nbrs: np.ndarray  # sorted in-neighbor ids, the audit's own copy
-    window: np.ndarray   # (id, *in_nbrs), a view of the rows' indices: the
-                         # slots pulled from and pushed to
+    in_nbrs: np.ndarray  # sorted in-neighbor ids, what the audit allows
+    window: np.ndarray   # (id, *in_nbrs), the slots pulled from and pushed
+                         # to; both are views of the rows' frozen indices
     coef: np.ndarray     # condensed row: [self] + in-neighbor coefficients,
                          # a view of the rows' data
     m: float
@@ -102,7 +102,7 @@ class LocalityAudit:
         """Record activations k, k+1, ... of the actors in `nodes`, an int64
         array, each on its own window: as record would, one by one. Each
         actor's footprint is looked up the first time it appears here and
-        then kept, so the windows must not change between blocks."""
+        then kept: the rows' indices the windows view are frozen."""
         if not nodes.size:
             return
         if self._fids is None:
@@ -149,7 +149,7 @@ def init_nodes(g, m):
     from .oracles import rows_from_graph
 
     rows = rows_from_graph(g, m, n_known=False)
-    return Actors([NodeActor(id=i, in_nbrs=rows.idx[i][1:].copy(),
+    return Actors([NodeActor(id=i, in_nbrs=rows.idx[i][1:],
                              window=rows.idx[i], coef=rows.coef[i], m=m)
                    for i in range(g.n)], rows)
 

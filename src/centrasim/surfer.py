@@ -28,6 +28,7 @@ import numpy as np
 from .errors import AssumptionError
 from .graph import DirectedGraph, is_strongly_connected, map_distinct, \
     symmetric_keys, symmetrize
+from .matrix import frozen
 
 # steps per block of uniforms the chain draws at once: each step takes
 # exactly two, so drawing 2*BLOCK_STEPS at a time yields the same stream;
@@ -41,6 +42,7 @@ class TransitionMatrix:
 
     Row i is indptr[i]:indptr[i+1]: i's sorted neighbors, then i itself.
     cum holds each row's running sums of prob, the last forced to 1.0.
+    indptr, targets and cum are frozen (matrix.frozen); prob is writable.
     """
 
     n: int
@@ -48,6 +50,10 @@ class TransitionMatrix:
     targets: np.ndarray
     prob: np.ndarray
     cum: np.ndarray
+
+    def __post_init__(self):
+        for name in ("indptr", "targets", "cum"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     @cached_property
     def lists(self):

@@ -18,8 +18,9 @@ from centrasim import _native, engine
 from centrasim.engine import KaczmarzState
 from centrasim.graph import DirectedGraph, parse_edge_list, symmetrize
 from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
-from centrasim.oracles import rows_from_graph
-from centrasim.surfer import SurferChain, _metropolis_hastings
+from centrasim.oracles import build_regression_rows, rows_from_graph
+from centrasim.surfer import SurferChain, _metropolis_hastings, \
+    build_transition_matrix_temporal
 
 from conftest import FIG1_TEXT, dense50_graph, needs_cc, random_digraph
 from test_acceptance import weblike_graph
@@ -305,24 +306,57 @@ def test_new_layout_after_a_held_one_never_reaches_the_library():
         steps(replace(held, data=held.data[:-1].copy()), 10)
 
 
-def test_writable_layout_is_checked_again():
-    steps, rows = _fig1_steps()
-    steps(rows, 0)
-    rows.indices[-1] = rows.n  # rows_from_graph's arrays stay writable
-    with pytest.raises(ValueError, match="column"):
-        steps(replace(rows, data=rows.data.copy()), 10)
+def _fig1_rows():
+    return rows_from_graph(parse_edge_list(FIG1_TEXT), 0.15)
 
 
-def test_read_only_layout_is_checked_again():
-    # a read-only flag can be turned back: only a frozen layout is trusted
+def _fig1_kernel():
+    return _metropolis_hastings(symmetrize(parse_edge_list(FIG1_TEXT)))
+
+
+ROWS = ("indptr", "indices"), "data"
+KERNEL = ("indptr", "targets", "cum"), "prob"
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: build_regression_rows(
+        build_hyperlink_matrix(parse_edge_list(FIG1_TEXT)), 0.15), ROWS),
+    (_fig1_rows, ROWS),
+    (lambda: _temporal_rows()[-1], ROWS),  # on a layout lent by like
+    (lambda: replace(r := _fig1_rows(), indices=r.indices.copy()), ROWS),
+    (_fig1_kernel, KERNEL),
+    (lambda: build_transition_matrix_temporal(
+        [parse_edge_list(FIG1_TEXT)], 0.15)[0], KERNEL),
+    (lambda: replace(k := _fig1_kernel(), targets=k.targets.copy()), KERNEL),
+], ids=["build_regression_rows", "rows_from_graph", "temporal like",
+        "replaced rows", "kernel", "temporal kernel", "replaced kernel"])
+def test_index_arrays_are_frozen_by_their_type(make, fields):
+    obj, (index_names, values_name) = make(), fields
+    for name in index_names:
+        a = getattr(obj, name)
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+    values = getattr(obj, values_name)
+    values[0] = values[0]  # values stay writable
+
+
+def test_write_into_bound_rows_never_reaches_the_library():
     steps, rows = _fig1_steps()
-    rows.indptr.flags.writeable = rows.indices.flags.writeable = False
+    steps(rows, 0)  # binds the rows without a library call
+    with pytest.raises(ValueError, match="read-only"):
+        rows.indices[-1] = rows.n
+        steps(rows, 10)
+
+
+def test_write_into_bound_kernel_never_reaches_the_library():
+    kernel = _fig1_kernel()
+    steps, rows = _fig1_steps(kernel=kernel)
     steps(rows, 0)
-    rows.indices.flags.writeable = True
-    rows.indices[-1] = rows.n
-    rows.indices.flags.writeable = False
-    with pytest.raises(ValueError, match="column"):
-        steps(replace(rows, data=rows.data.copy()), 10)
+    with pytest.raises(ValueError, match="read-only"):
+        kernel.targets[0] = 10**9
+        steps(rows, 10)
 
 
 # the child loads the sanitized library and checks every loop on every

@@ -58,11 +58,13 @@ class TestActivation:
 
     @pytest.mark.parametrize("ids", ["reads", "writes"])
     def test_audit_records_what_activate_touched(self, fig1, ids):
-        # node 4's only in-neighbor is 5: swap it for 0 in the window that
-        # activate pulls values through (reads) and pushes them back
-        # through (writes); the audit names 0 either way
+        # node 4's only in-neighbor is 5: give node 4 a window with 0 in its
+        # place, which activate pulls values through (reads) and pushes them
+        # back through (writes); the audit names 0 either way
         actors = init_nodes(fig1, m=0.15)
-        actors[4].window[actors[4].window == 5] = 0
+        window = actors[4].window.copy()  # the rows' indices are frozen
+        window[window == 5] = 0
+        actors[4].window = window
         token, audit = ActivationToken(), LocalityAudit()
         activate(actors, token, 1, audit=audit)
         actors.values[:] = np.arange(1.0, 7.0) / 8
