@@ -1,7 +1,7 @@
-"""Compiled Brandes, BFS and engine-step loops, built on first use into a
-per-user cache.
+"""Compiled edge-list parse, Brandes, BFS and engine-step loops, built on
+first use into a per-user cache.
 
-One C source, embedded below, holds the three loops. ``load()`` compiles
+One C source, embedded below, holds the four loops. ``load()`` compiles
 it once with the system C compiler (``cc``, else ``gcc``) at
 ``-O2 -ffp-contract=off``, so no multiply-add is fused and every float
 operation is the one written. The library is cached under
@@ -19,6 +19,15 @@ per-source queue loops in Python, which give the same bits at 14 to 18
 times the time (web4000: Brandes 20 s against 1.1 s, BFS 8 s against
 0.5 s). ``brandes`` and ``bfs_all_pairs`` take a loaded library and the
 graph.
+
+``parse`` reads a plain edge list, the subset its C comment names, in one
+pass: the labels numbered in order of first appearance through a hash
+table, each line's ids and times into arrays sized before the call. Any
+other text (a comment, a control byte, a bad line, a self-loop, a time
+that is not plain digits or that decreases, no edge at all) comes back as
+None, and ``graph``'s per-line parser, its Python twin, reads it and names
+the fault. At 1.2 million lines (n = 200 000, 2 vCPUs) the parse takes
+about 0.3 s against 1.5 s, and raises the peak by half as much.
 
 ``Steps`` runs the engine's blocks of steps in the library, and the
 node-actor simulator's, which also have it write each step's node to a
@@ -45,12 +54,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .surfer import BLOCK_STEPS
+from .matrix import frozen
 
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Betweenness over ordered pairs, one FIFO queue loop per source s = 0..n-1.
    The forward pass adds sigma in queue order along sorted out-rows and
@@ -212,6 +222,138 @@ int64_t centrasim_steps(int64_t count, int64_t k, int64_t current,
     }
     return current;
 }
+
+/* The labels seen so far: each one's bytes in names, followed by a '\n',
+   and an open-addressing table of ids + 1, a power of two in size, which
+   doubles at half load. */
+struct labels {
+    struct label { int64_t start, len; uint64_t hash; } *at;
+    int64_t count, *slots, size;
+    char *names;
+    int64_t used;
+};
+
+/* Id of the label text[0:len], numbered anew if t has not seen it.
+   Returns -1 if memory runs out. */
+static int64_t label_id(struct labels *t, const char *text, int64_t len)
+{
+    uint64_t h = 14695981039346656037ull;  /* FNV-1a */
+    for (int64_t i = 0; i < len; i++)
+        h = (h ^ (unsigned char)text[i]) * 1099511628211ull;
+    h ^= h >> 32;  /* a product's low bits, which pick the slot, mix least */
+    uint64_t mask = (uint64_t)t->size - 1, s = h & mask;
+    for (; t->slots[s]; s = (s + 1) & mask) {
+        struct label *l = t->at + t->slots[s] - 1;
+        if (l->hash == h && l->len == len
+                && !memcmp(t->names + l->start, text, (size_t)len))
+            return t->slots[s] - 1;
+    }
+    int64_t id = t->count++;
+    if (!(id & (id - 1))) {  /* 0 or a power of two: room up to 2 * id */
+        struct label *grown = realloc(t->at, (size_t)(2 * id + 1) * sizeof *grown);
+        if (!grown)
+            return -1;
+        t->at = grown;
+    }
+    t->at[id] = (struct label){t->used, len, h};
+    t->slots[s] = id + 1;
+    memcpy(t->names + t->used, text, (size_t)len);
+    t->used += len;
+    t->names[t->used++] = '\n';
+    if (2 * t->count > t->size) {
+        int64_t *grown = calloc((size_t)(2 * t->size), sizeof *grown);
+        if (!grown)
+            return -1;
+        mask = (uint64_t)(2 * t->size) - 1;
+        for (int64_t j = 0; j < t->count; j++) {
+            for (s = t->at[j].hash & mask; grown[s]; s = (s + 1) & mask)
+                ;
+            grown[s] = j + 1;
+        }
+        free(t->slots);
+        t->slots = grown;
+        t->size *= 2;
+    }
+    return id;
+}
+
+/* One pass over a plain edge list of len bytes: every line blank or
+   width tokens, width 2 (src dst) or 3 (a time of 1 to 18 digits, never
+   below the line before's, then src dst), separated by spaces and tabs,
+   every other byte printable ASCII but '#' and ','. Labels are numbered
+   in order of first appearance, src before dst. Line e's ids go to
+   ids[2e], ids[2e+1] and its time to times[e]; each new label goes to
+   names with a '\n' after it, which takes at most len + 1 bytes. counts
+   gets the lines read and the bytes written to names. Returns 0; 1 for
+   input outside that subset, a self-loop, more than cap lines or none;
+   -1 if memory runs out. */
+int centrasim_parse(const char *text, int64_t len, int64_t width, int64_t cap,
+                    int64_t *ids, int64_t *times, char *names, int64_t *counts)
+{
+    struct labels t = {NULL, 0, calloc(1024, sizeof *t.slots), 1024, names, 0};
+    int64_t lines = 0, last = 0;
+    int rc = -1;
+    if (!t.slots)
+        goto done;
+    rc = 1;
+    for (int64_t pos = 0; pos < len; pos++) {  /* a line, then its '\n' */
+        int64_t start[3] = {0}, end[3] = {0}, ntok = 0;
+        while (pos < len && text[pos] != '\n') {
+            unsigned char c = (unsigned char)text[pos];
+            if (c == ' ' || c == '\t') {
+                pos++;
+                continue;
+            }
+            if (ntok == width)
+                goto done;
+            start[ntok] = pos;
+            while (c > ' ' && c < 127 && c != '#' && c != ',' && ++pos < len)
+                c = (unsigned char)text[pos];
+            if (pos < len && c != ' ' && c != '\t' && c != '\n')
+                goto done;
+            end[ntok++] = pos;
+        }
+        if (!ntok)
+            continue;
+        if (ntok != width || lines == cap)
+            goto done;
+        int64_t src = width - 2, dst = width - 1, n = end[src] - start[src];
+        if (n == end[dst] - start[dst]
+                && !memcmp(text + start[src], text + start[dst], (size_t)n))
+            goto done;  /* a self-loop */
+        if (width == 3) {
+            int64_t time = 0;
+            if (end[0] - start[0] > 18)
+                goto done;
+            for (int64_t i = start[0]; i < end[0]; i++) {
+                if (text[i] < '0' || text[i] > '9')
+                    goto done;
+                time = 10 * time + (text[i] - '0');
+            }
+            if (time < last)
+                goto done;
+            times[lines] = last = time;
+        }
+        for (int64_t k = src; k <= dst; k++) {
+            int64_t id = label_id(&t, text + start[k], end[k] - start[k]);
+            if (id < 0) {
+                rc = -1;
+                goto done;
+            }
+            ids[2 * lines + k - src] = id;
+        }
+        lines++;
+    }
+    if (lines) {
+        counts[0] = lines;
+        counts[1] = t.used;
+        rc = 0;
+    }
+done:
+    free(t.slots);
+    free(t.at);
+    return rc;
+}
 """
 
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -223,6 +365,7 @@ _SIGNATURES = {
     "centrasim_bfs": (ctypes.c_int, (_I, _P, _P, _P)),
     "centrasim_steps": (_I, (_I, _I, _I, _P, _I, _D, _P, _P, _P, _P, _P, _P,
                              _I, _D, _D, _D, _P, _P, _P, _P)),
+    "centrasim_parse": (ctypes.c_int, (_P, _I, _I, _I, _P, _P, _P, _P)),
 }
 
 
@@ -361,13 +504,57 @@ def bfs_all_pairs(lib, g):
     return d
 
 
+def parse(lib, text, width):
+    """(labels, ids, times) of an edge list of `width` tokens a line (2:
+    `src dst`, 3: `time src dst`), parsed by the library: the labels in
+    order of first appearance, each line's (src, dst) ids as an (edges, 2)
+    int64 array and, for width 3, each line's time (else an empty array).
+    None if the text is not plain (no comment, no other whitespace or
+    control byte, no self-loop, times of plain digits that never decrease,
+    at least one edge: the C comment has the whole subset); the per-line
+    parser then reads it, and names the fault if there is one."""
+    if width not in (2, 3):
+        raise ValueError(f"a line has 2 or 3 tokens, not {width}")
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    # a line takes 2 * width bytes at least: width tokens, width - 1
+    # separators and its '\n' (which the last line may lack)
+    cap = (len(data) + 1) // (2 * width)
+    ids = np.empty((cap, 2), dtype=np.int64)
+    times = np.empty(cap if width == 3 else 0, dtype=np.int64)
+    names = np.empty(len(data) + 1, dtype=np.uint8)
+    counts = np.zeros(2, dtype=np.int64)
+    rc = lib.centrasim_parse(data, len(data), width, cap,
+                             _buf(ids, np.int64, 2 * cap),
+                             _buf(times, np.int64, times.size),
+                             _buf(names, np.uint8, len(data) + 1),
+                             _buf(counts, np.int64, 2))
+    if rc < 0:
+        raise MemoryError("edge-list parse could not grow its label table")
+    if rc:
+        return None
+    lines, used = counts.tolist()
+    labels = names[:used].tobytes().decode("ascii").split("\n")[:-1]
+    return tuple(labels), ids[:lines], times[:lines]
+
+
+def _refuse_writable(what, *arrays):
+    """Raise unless every array is frozen (matrix.frozen), so that no write
+    can follow its check: a deepcopy or unpickled copy of rows or a kernel
+    holds writable ones."""
+    if any(frozen(a) is not a for a in arrays):
+        raise ValueError(f"{what} index arrays are writable, not frozen")
+
+
 def _kernel_bufs(kernel, n):
-    """Addresses of a surfer kernel's arrays, once its targets lie in
-    [0, n) and every row is nonempty and its running sums end in 1.0: a
-    uniform below 1.0 then never bisects past its row."""
+    """Addresses of a surfer kernel's arrays, once they are frozen, its
+    targets lie in [0, n) and every row is nonempty and its running sums
+    end in 1.0: a uniform below 1.0 then never bisects past its row."""
     ptr, cum = kernel.indptr, kernel.cum
     if kernel.n != n:
         raise ValueError(f"kernel has {kernel.n} nodes, rows have {n}")
+    _refuse_writable("kernel", ptr, kernel.targets, cum)
     bufs = (*_csr_bufs(n, ptr, kernel.targets),
             _buf(cum, np.float64, kernel.targets.size))
     if ptr[0] != 0 or (np.diff(ptr) < 1).any() or (cum[ptr[1:] - 1] != 1.0).any():
@@ -376,12 +563,14 @@ def _kernel_bufs(kernel, n):
 
 
 def _rows_bufs(rows, n):
-    """Addresses of regression rows' flat arrays, once their columns lie in
-    [0, n) and every row is nonempty (the loop reads its first entry) and
-    no longer than n (the gathered values' room)."""
+    """Addresses of regression rows' flat arrays, once their layout is
+    frozen, their columns lie in [0, n) and every row is nonempty (the loop
+    reads its first entry) and no longer than n (the gathered values'
+    room)."""
     ptr = rows.indptr
     if rows.n != n:
         raise ValueError(f"rows have {rows.n} nodes, the iterate {n}")
+    _refuse_writable("rows", ptr, rows.indices)
     bufs = (*_csr_bufs(n, ptr, rows.indices),
             _buf(rows.data, np.float64, rows.indices.size))
     lengths = np.diff(ptr)
@@ -408,9 +597,13 @@ class Steps:
     """
 
     def __init__(self, lib, state, chain, on_block=None):
+        # here: the parse loads this module, and needs no surfer
+        from .surfer import BLOCK_STEPS
+
         n = self._n = state.x.size
         self._fn, self._state, self._chain = lib.centrasim_steps, state, chain
         self._xs = np.empty(n)
+        self._most = BLOCK_STEPS  # steps a call runs, and the trail's room
         self._on_block = on_block
         self._trail = None if on_block is None else np.empty(BLOCK_STEPS,
                                                              dtype=np.int64)
@@ -453,7 +646,7 @@ class Steps:
             raise ValueError(f"surfer at node {node} outside [0, {self._n})")
         while count:
             block, pos = chain.uniforms()
-            take = min(count, (len(block) - pos) // 2, BLOCK_STEPS)
+            take = min(count, (len(block) - pos) // 2, self._most)
             k = state.k
             node = self._fn(take, k, node,
                             block.buffer_info()[0] + pos * block.itemsize,

@@ -37,9 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# imported with the engine, though the library loads on the first block:
-# where no bytecode is cached, compiling _native's source in the middle of
-# a run would raise the run's peak RSS by about 0.9 MiB
 from . import _native
 from .oracles import build_regression_rows, ls_objective
 

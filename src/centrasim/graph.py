@@ -2,12 +2,15 @@
 
 A graph is its edge keys ``src*n + dst``, sorted and without repeats. The
 out- and in-adjacency are CSR arrays read off the keys on first use, and
-symmetrize, repair and the structure checks work on key arrays too: past
-the parser's per-line tokenizer, building a graph runs no Python loop over
-its edges.
+symmetrize, repair and the structure checks work on key arrays too.
+Building a graph runs no Python loop over its edges: the compiled library
+parses a plain edge list (``_native.parse``), and only other text, or a
+host without a C compiler, goes through the per-line tokenizer, which
+also names every fault with its line.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -140,44 +143,44 @@ def _tokenize(text):
         yield lineno, line.split()
 
 
-def _keys(n, srcs, dsts):
-    """Sorted unique keys of the edges srcs[i] -> dsts[i]."""
-    return _sorted_unique(np.array(srcs, dtype=np.int64) * n
-                          + np.array(dsts, dtype=np.int64))
+def _compiled(text, width):
+    """The library's parse of plain text (``_native.parse``), or None."""
+    from . import _native  # here: _native imports the surfer, which imports us
+
+    lib = _native.load()
+    return None if lib is None else _native.parse(lib, text, width)
 
 
-def parse_edge_list(text):
-    """Parse `src dst` label pairs into a DirectedGraph.
+def _pair_ids(ids):
+    """The (src, dst) ids collected in ids as an (edges, 2) int64 array."""
+    return np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
 
-    Duplicate edges collapse silently; a self-loop or an input without
-    edges is an error. Nodes are numbered in order of first appearance.
-    """
+
+def _edge_lines(text):
+    """(labels, ids) of `src dst` lines, read line by line: the twin of the
+    library's parse, and the reader of any text it leaves."""
     index = {}
-    srcs, dsts = [], []
+    ids = array("q")
     for lineno, parts in _tokenize(text):
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'src dst', got {parts!r}")
         src, dst = parts
         if src == dst:
             raise GraphFormatError(f"line {lineno}: self-loop on node {src!r}")
-        srcs.append(index.setdefault(src, len(index)))
-        dsts.append(index.setdefault(dst, len(index)))
-    if not srcs:
+        ids.append(index.setdefault(src, len(index)))
+        ids.append(index.setdefault(dst, len(index)))
+    if not ids:
         raise GraphFormatError("no edges in edge list")
-    n = len(index)
-    return DirectedGraph(n=n, keys=_keys(n, srcs, dsts), labels=tuple(index))
+    return tuple(index), _pair_ids(ids)
 
 
-def parse_temporal_edge_list(text):
-    """Parse `time src dst` lines into a TemporalGraphSequence.
-
-    Time values must be nondecreasing; the node set is the union over the
-    whole file and is shared by every snapshot, and snapshots with the same
-    edges share one DirectedGraph.
-    """
+def _temporal_lines(text):
+    """(labels, ids, times, starts) of `time src dst` lines, read line by
+    line, with each snapshot's time and first line: the twin of the
+    library's parse, and the reader of any text it leaves."""
     index = {}
-    raw_snaps = []  # list of (time, [src, ...], [dst, ...])
-    last_time = None
+    ids = array("q")
+    times, starts = [], []
     for lineno, parts in _tokenize(text):
         if len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'time src dst', got {parts!r}")
@@ -188,23 +191,54 @@ def parse_temporal_edge_list(text):
             raise GraphFormatError(f"line {lineno}: bad time value {t_str!r}") from None
         if t < 0:
             raise GraphFormatError(f"line {lineno}: negative time {t}")
-        if last_time is not None and t < last_time:
-            raise GraphFormatError(f"line {lineno}: time {t} decreases below {last_time}")
+        if times and t < times[-1]:
+            raise GraphFormatError(f"line {lineno}: time {t} decreases below {times[-1]}")
         if src == dst:
             raise GraphFormatError(f"line {lineno}: self-loop on node {src!r}")
-        if last_time is None or t > last_time:
-            raw_snaps.append((t, [], []))
-            last_time = t
-        raw_snaps[-1][1].append(index.setdefault(src, len(index)))
-        raw_snaps[-1][2].append(index.setdefault(dst, len(index)))
-
-    if not raw_snaps:
+        if not times or t > times[-1]:
+            times.append(t)
+            starts.append(len(ids) // 2)
+        ids.append(index.setdefault(src, len(index)))
+        ids.append(index.setdefault(dst, len(index)))
+    if not times:
         raise GraphFormatError("no snapshots in temporal edge list")
-    n, labels = len(index), tuple(index)
+    return tuple(index), _pair_ids(ids), times, starts
+
+
+def parse_edge_list(text):
+    """Parse `src dst` label pairs into a DirectedGraph.
+
+    Duplicate edges collapse silently; a self-loop or an input without
+    edges is an error. Nodes are numbered in order of first appearance.
+    """
+    parsed = _compiled(text, 2)
+    labels, ids = _edge_lines(text) if parsed is None else parsed[:2]
+    n = len(labels)
+    return DirectedGraph(n=n, keys=_sorted_unique(ids[:, 0] * n + ids[:, 1]),
+                         labels=labels)
+
+
+def parse_temporal_edge_list(text):
+    """Parse `time src dst` lines into a TemporalGraphSequence.
+
+    Time values must be nondecreasing; the node set is the union over the
+    whole file and is shared by every snapshot, and snapshots with the same
+    edges share one DirectedGraph.
+    """
+    parsed = _compiled(text, 3)
+    if parsed is None:
+        labels, ids, times, starts = _temporal_lines(text)
+    else:
+        labels, ids, line_times = parsed
+        starts = [0, *(np.flatnonzero(np.diff(line_times)) + 1).tolist()]
+        times = line_times[starts].tolist()
+    n = len(labels)
+    line_keys = ids[:, 0] * n + ids[:, 1]
+    bounds = [*starts, len(ids)]
     shared = {}
     snapshots = []
-    for t, srcs, dsts in raw_snaps:
-        keys = _keys(n, srcs, dsts)
+    for t, a, b in zip(times, bounds, bounds[1:]):
+        keys = _sorted_unique(line_keys[a:b])
         g = shared.setdefault(keys.tobytes(),
                               DirectedGraph(n=n, keys=keys, labels=labels))
         snapshots.append((t, g))

@@ -179,9 +179,14 @@ class SurferChain:
     current: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self._rng = np.random.default_rng(self.seed)
         self._block, self._pos = array("d"), 0
         self._lists = None  # the kernel's lists, read on the first sample
+
+    @cached_property
+    def _rng(self):
+        """The seeded generator, made when the first block is drawn: a run
+        of no steps never imports numpy.random."""
+        return np.random.default_rng(self.seed)
 
     @property
     def n(self):

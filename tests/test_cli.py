@@ -733,21 +733,40 @@ def test_cli_commands_never_import_scipy(tmp_path):
 # The compiled library is found or built on first use: on a run's first
 # block of engine or node-actor steps, or in Brandes and BFS. A pass of no
 # steps never loads it; a run of steps asks for it once.
+# each command's first request for the library comes from its parse, which
+# loads it; the steps and the oracles ask again and find it loaded
 LIBRARY_SCRIPT = """
+import sys
 from centrasim import _native, cli
-for argv in (["pagerank", "fig1.txt"], ["pagerank", "fig1.txt", "--mode", "dist"],
-             ["pagerank-temporal", "seq.txt"]):
-    assert cli.main([*argv, "--iterations", "0"]) == 0, argv
-    assert _native.load.cache_info().misses == 0, argv
-argv = ["pagerank", "fig1.txt", "--mode", "dist", "--iterations", "500"]
-assert cli.main(argv) == 0
-assert _native.load.cache_info()[:2] == (0, 1), "dist"
-assert cli.main(["pagerank", "fig1.txt", "--iterations", "500"]) == 0
-assert _native.load.cache_info()[:2] == (1, 1), "pagerank"
+
+asked, load = [], _native.load
+
+
+def asking():
+    asked.append(sys._getframe(1).f_code.co_name)
+    return load()
+
+
+_native.load = asking
+steps = ["--iterations", "500"]
+for argv, later in (
+        (["pagerank", "fig1.txt", "--iterations", "0"], []),
+        (["pagerank", "fig1.txt", "--mode", "dist", "--iterations", "0"], []),
+        (["pagerank-temporal", "seq.txt", "--iterations", "0"], []),
+        (["pagerank", "fig1.txt", *steps], ["call"]),
+        (["pagerank", "fig1.txt", "--mode", "dist", *steps], ["call"]),
+        (["pagerank-temporal", "seq.txt", *steps], ["call"]),
+        (["centrality", "fig1.txt"], ["brandes_betweenness"]),
+        (["oracle", "fig1.txt"], ["brandes_betweenness", "bfs_all_pairs"])):
+    load.cache_clear()
+    asked.clear()
+    assert cli.main(argv) == 0, argv
+    assert asked == ["_compiled", *later], (argv, asked)
+    assert load.cache_info().misses == 1, argv
 """
 
 
-def test_only_engine_steps_and_oracles_load_the_library(tmp_path):
+def test_every_command_loads_the_library_once_at_its_parse(tmp_path):
     (tmp_path / "fig1.txt").write_text(FIG1_TEXT)
     (tmp_path / "seq.txt").write_text("0 a b\n0 b a\n0 b c\n0 c b\n"
                                       "1 a c\n1 c a\n1 b c\n1 c b\n")
@@ -756,3 +775,30 @@ def test_only_engine_steps_and_oracles_load_the_library(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# the package loads a module when one of its names is first read, and a run
+# of no steps draws no uniform, so it never imports numpy.random
+IMPORT_SCRIPT = """
+import sys
+import centrasim
+assert not [m for m in sys.modules if m.startswith(("centrasim.", "numpy"))]
+assert all(getattr(centrasim, name) for name in centrasim.__all__)
+from centrasim import cli
+for argv in (["pagerank", "fig1.txt"], ["pagerank", "fig1.txt", "--mode", "dist"],
+             ["pagerank-temporal", "seq.txt"]):
+    assert cli.main([*argv, "--iterations", "0"]) == 0, argv
+assert "numpy.random" not in sys.modules
+"""
+
+
+def test_import_and_a_run_of_no_steps_load_only_what_they_read(tmp_path):
+    (tmp_path / "fig1.txt").write_text(FIG1_TEXT)
+    (tmp_path / "seq.txt").write_text("0 a b\n0 b a\n1 a b\n1 b a\n")
+    src = Path(centrasim.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        centrasim.no_such_name

@@ -77,6 +77,24 @@ class TestParseTemporal:
         with pytest.raises(GraphFormatError, match="decreases"):
             parse_temporal_edge_list("3 a b\n1 b a")
 
+    @pytest.mark.parametrize("stamp", ["9/", "9:", "+5", "1_0", "-0"])
+    def test_time_of_digits_only_or_python_int(self, stamp):
+        # the bytes beside '0' and '9' are no digits; what int() reads
+        # (a sign, an underscore) is read as the per-line parser reads it
+        text = f"0 a b\n{stamp} b c\n"
+        try:
+            times = [int(stamp)]
+        except ValueError:
+            with pytest.raises(GraphFormatError, match="bad time value"):
+                parse_temporal_edge_list(text)
+        else:
+            seq = parse_temporal_edge_list(text)
+            assert [t for t, _ in seq.snapshots][-1:] == times
+
+    def test_time_past_int64(self):
+        seq = parse_temporal_edge_list("0 a b\n99999999999999999999 b c\n")
+        assert [t for t, _ in seq.snapshots] == [0, 10**20 - 1]
+
     def test_round_trip(self):
         seq = parse_temporal_edge_list("0 a b\n0 b c\n5 a c")
         again = parse_temporal_edge_list(serialize_temporal_edge_list(seq))

@@ -1,6 +1,7 @@
 """The loader of the compiled loops: its per-user cache, its fallback to
 the Python loops, its checks of every array it hands over, and a build free
 of compiler warnings."""
+import copy
 import os
 import pickle
 import shutil
@@ -16,14 +17,16 @@ import pytest
 import centrasim
 from centrasim import _native, engine
 from centrasim.engine import KaczmarzState
-from centrasim.graph import DirectedGraph, parse_edge_list, symmetrize
+from centrasim.graph import DirectedGraph, parse_edge_list, \
+    parse_temporal_edge_list, symmetrize
 from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
 from centrasim.oracles import build_regression_rows, rows_from_graph
 from centrasim.surfer import SurferChain, _metropolis_hastings, \
     build_transition_matrix_temporal
 
-from conftest import FIG1_TEXT, dense50_graph, needs_cc, random_digraph
-from test_acceptance import weblike_graph
+from conftest import FIG1_TEXT, dense50_graph, needs_cc, random_digraph, \
+    serialize_edge_list
+from test_acceptance import _spam_graphs, weblike_graph
 
 SRC = Path(centrasim.__file__).resolve().parents[1]
 
@@ -359,19 +362,78 @@ def test_write_into_bound_kernel_never_reaches_the_library():
         steps(rows, 10)
 
 
+@pytest.mark.parametrize("copy_of", [
+    copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["deepcopy", "pickle"])
+def test_copied_rows_never_reach_the_library(copy_of):
+    steps, rows = _fig1_steps()
+    rows = copy_of(rows)  # rebuilt without __post_init__: writable
+    with pytest.raises(ValueError, match="not frozen"):
+        steps(rows, 0)
+        rows.indices[-1] = rows.n
+        steps(rows, 10)
+
+
+@pytest.mark.parametrize("copy_of", [
+    copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["deepcopy", "pickle"])
+def test_copied_kernel_never_reaches_the_library(copy_of):
+    kernel = copy_of(_fig1_kernel())
+    steps, rows = _fig1_steps(kernel=kernel)
+    with pytest.raises(ValueError, match="not frozen"):
+        steps(rows, 0)
+        kernel.targets[0] = 10**9
+        steps(rows, 10)
+
+
+def _spam_text():
+    """Criterion 9's 500 spam snapshots as `time src dst` lines."""
+    base, spam, _ = _spam_graphs()
+    return "".join(f"{t} {u} {v}\n" for t, g in enumerate([spam] * 10 + [base] * 490)
+                   for u, v in sorted(g.edges))
+
+
+@needs_cc
+@pytest.mark.parametrize("width, text", [
+    (2, lambda: serialize_edge_list(weblike_graph(np.random.default_rng(101), 4000))),
+    (3, _spam_text)], ids=["web4000", "spam"])
+def test_benchmark_inputs_take_the_compiled_parse(width, text, monkeypatch):
+    # a silent fall back to the per-line parser would cost no output byte
+    text = text()
+    labels, ids, times = _native.parse(_native.load(), text, width)
+    assert ids.shape[1] == 2 and times.size == (ids.shape[0] if width == 3 else 0)
+    parse = parse_edge_list if width == 2 else parse_temporal_edge_list
+    compiled = parse(text)
+    monkeypatch.setattr(_native, "load", lambda: None)
+    twin = parse(text)
+    if width == 2:
+        compiled, twin = [(0, compiled)], [(0, twin)]
+    else:
+        compiled, twin = compiled.snapshots, twin.snapshots
+    assert compiled[0][1].labels == twin[0][1].labels == labels
+    assert [(t, g.keys.tolist()) for t, g in compiled] == \
+        [(t, g.keys.tolist()) for t, g in twin]
+
+
 # the child loads the sanitized library and checks every loop on every
 # graph against the Python loops: Brandes and BFS, then engine runs in both
 # modes, with and without restarts, on block lengths that end inside and
 # at the edge of the chain's uniform blocks, and node-actor runs, whose
-# steps write a trail of each uniform block's nodes
+# steps write a trail of each uniform block's nodes; then the parse, on
+# texts that end at a buffer's edge, hold 1 MB tokens or NUL bytes, or
+# grow the label table through several rehashes, against the per-line
+# parser
 ASAN_CHILD = r"""
+import ctypes
 import pickle
 import sys
 
 import numpy as np
 
 from centrasim import _native, engine, simulator
-from centrasim.graph import DirectedGraph, repair_dangling, symmetrize
+from centrasim.errors import GraphFormatError
+from centrasim.graph import DirectedGraph, parse_edge_list, \
+    parse_temporal_edge_list, repair_dangling, symmetrize
 from centrasim.matrix import PersistentAverage, build_hyperlink_matrix
 from centrasim.oracles import _loop_all_pairs, _loop_betweenness, rows_from_graph
 from centrasim.surfer import SurferChain, _metropolis_hastings
@@ -438,7 +500,55 @@ for name, g in graphs:
         assert fn(g, *args, lib) == fn(g, *args, None), \
             (name, fn.__name__, *args)
         runs += 1
-print(len(graphs), runs)
+
+libc = ctypes.CDLL(None)  # its malloc is the sanitizer's
+libc.malloc.restype, libc.malloc.argtypes = ctypes.c_void_p, (ctypes.c_size_t,)
+libc.free.argtypes = (ctypes.c_void_p,)
+
+
+# the library, its parse handed the text in a buffer of exactly the
+# text's length, so that a read past its end is reported
+class Exact:
+    def centrasim_parse(self, data, length, *rest):
+        buf = libc.malloc(length)
+        ctypes.memmove(buf, data, length)
+        try:
+            return lib.centrasim_parse(buf, length, *rest)
+        finally:
+            libc.free(buf)
+
+    centrasim_parse.argtypes = lib.centrasim_parse.argtypes
+
+
+def parsed(text, width, library):
+    _native.load = lambda: library
+    try:
+        if width == 2:
+            g = parse_edge_list(text)
+            return g.labels, g.keys.tobytes()
+        seq = parse_temporal_edge_list(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    graphs = [g for _, g in seq.snapshots]
+    return [(t, g.labels, g.keys.tobytes(), graphs.index(g))
+            for t, g in seq.snapshots]
+
+
+# 3000 labels: the table starts at 1024 slots and doubles at half load
+ring = [f"n{i}" for i in range(3000)]
+big = "x" * 2**20
+texts = [(2, "", False), (3, "", False),
+         (2, "a b\nb c", True), (3, "0 a b\n1 b c", True),  # ends in a token
+         (2, "a b\nb c\n", True), (2, "a b\n\n \t\n", True),
+         (2, f"{big} y\ny {big}z\n{big}z {big}", True),
+         (2, "a b\n\x00 c\n", False), (2, "a b\x00", False), (3, "0\x00 a b", False),
+         (2, "".join(f"{a} {b}\n" for a, b in zip(ring, ring[1:])), True),
+         (3, "".join(f"{i // 100} {a} {b}\n" for i, (a, b) in
+                     enumerate(zip(ring, ring[::-1])) if a != b), True)]
+for width, text, plain in texts:
+    assert (_native.parse(Exact(), text, width) is not None) == plain, text[:20]
+    assert parsed(text, width, Exact()) == parsed(text, width, None), text[:20]
+print(len(graphs), runs, len(texts))
 """
 
 
@@ -484,4 +594,4 @@ def test_loops_run_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, \
         proc.stderr
     runs = sum(4 if g.n > 1 else 3 for _, g in graphs)
-    assert proc.stdout.split() == [str(len(graphs)), str(runs)]
+    assert proc.stdout.split() == [str(len(graphs)), str(runs), "12"]

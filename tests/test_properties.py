@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from centrasim import _native, engine  # noqa: E402
 from centrasim.cli import KEYS, main  # noqa: E402
 from centrasim.engine import project, run, run_temporal  # noqa: E402
-from centrasim.errors import RepairError  # noqa: E402
+from centrasim.errors import GraphFormatError, RepairError  # noqa: E402
 from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
                              map_distinct, parse_edge_list, parse_temporal_edge_list,
                              repair_dangling, symmetrize)
@@ -111,6 +111,89 @@ def test_temporal_parse_serialize_round_trip(snaps, data):
         assert _labeled_edges(a) == _labeled_edges(b)
     assert set(back.snapshots[0][1].labels) == \
         {g.labels[u] for g in snaps for e in g.edges for u in e}
+
+
+# each odd line leaves the text to the per-line parser: the compiled parse
+# takes only plain text
+_ODD_SPACES = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+               "\x85", "\xa0", "\u2028", "\u3000"]
+_ODD_TIMES = ["+5", "1_0", "-0", "-3", "0x1", "9/", "9:", "\u0663", "9" * 19,
+              "10" * 10]
+_ODD_LABELS = ["\xe9", "a,b", "a\x00", "\x7f", "#", "b#"]
+_ODD_LINES = ["space", "comment", "tokens", "self-loop", "label"]
+
+
+@st.composite
+def edge_texts(draw, width, odd):
+    """(text, plain): an edge list of `width` tokens a line, plain lines
+    and blank ones, and one odd line of kind `odd` unless it is None; plain
+    if it has no odd line and at least one edge."""
+    label = st.sampled_from(["a", "b", "c", "d", "10", "007", "x_y", "~!"])
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    kinds = draw(st.lists(st.sampled_from(["plain", "plain", "blank"]), max_size=8))
+    if odd:
+        kinds.insert(draw(st.integers(0, len(kinds))), odd)
+    time = draw(st.sampled_from([0, 7, 10**18 - 100]))  # 18 digits at most
+    lines = []
+    for kind in kinds:
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+            continue
+        src, dst = draw(st.lists(label, min_size=2, max_size=2, unique=True))
+        time += draw(st.integers(0, 2))
+        stamp = str(time).zfill(draw(st.integers(1, 3)))
+        if kind == "self-loop":
+            dst = src
+        elif kind == "time":
+            stamp = draw(st.sampled_from(_ODD_TIMES))
+        elif kind == "decrease":  # below a line at time
+            lines.append(f"{time} {dst} {src}")
+            stamp = str(time - 1 - draw(st.integers(0, 2)))
+        elif kind == "label":
+            src = draw(st.sampled_from(_ODD_LABELS))
+        tokens = [stamp, src, dst][3 - width:]
+        if kind == "tokens":
+            tokens = draw(st.sampled_from([tokens[:-1], tokens + ["e"], []]))
+            tokens = tokens or ["e"] * (width + 2)
+        line = draw(sep).join(tokens) + draw(st.sampled_from(["", " ", "\t"]))
+        if kind == "space":
+            line = line.replace(" ", draw(st.sampled_from(_ODD_SPACES)), 1)
+            line = line.replace("\t", draw(st.sampled_from(_ODD_SPACES)), 1)
+        elif kind == "comment":
+            line = draw(st.sampled_from(["# a note", line + " # a note", line + "#"]))
+        lines.append(line)
+    plain = not odd and "plain" in kinds
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])), plain
+
+
+def _parsed(parse, text):
+    """Labels and keys, with the temporal times and which snapshots share
+    one graph object; or the parse's error message."""
+    try:
+        out = parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    if isinstance(out, DirectedGraph):
+        return out.labels, out.keys.tolist()
+    graphs = [g for _, g in out.snapshots]  # by identity: graphs have no ==
+    return out.n, [(t, g.labels, g.keys.tolist(), graphs.index(g))
+                   for t, g in out.snapshots]
+
+
+@needs_cc
+@pytest.mark.parametrize("width, odd", [
+    *((2, odd) for odd in (None, *_ODD_LINES)),
+    *((3, odd) for odd in (None, *_ODD_LINES, "time", "decrease"))])
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.data())
+def test_compiled_parse_equals_per_line_parser(width, odd, data):
+    text, plain = data.draw(edge_texts(width, odd))
+    parse = parse_edge_list if width == 2 else parse_temporal_edge_list
+    assert (_native.parse(_native.load(), text, width) is not None) == plain
+    compiled = _parsed(parse, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        assert _parsed(parse, text) == compiled
 
 
 @st.composite
