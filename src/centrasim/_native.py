@@ -31,14 +31,15 @@ about 0.3 s against 1.5 s, and raises the peak by half as much.
 
 ``Steps`` runs the engine's blocks of steps in the library, and the
 node-actor simulator's, which also have it write each step's node to a
-trail of at most one uniform block (``BLOCK_STEPS``) for the locality
-audit. Its dot product is the one ``engine.project`` writes out: the
-products rounded one by one and added left to right from the first, so
-the bits depend on no BLAS. Without the library the engine runs its
-Python twin, which gives the same bits about 30 times more slowly
-(100 000 unknown-size steps on a 50-node graph: 1.0 s against 0.031 s),
-and the simulator its Python block, about 14 times more slowly (30 000
-activations there: 0.34 s against 0.024 s). Every array handed to the
+trail of at most one uniform block (``BLOCK_STEPS``); the simulator hands
+that trail to the locality audit, which keeps each step's actor id. Its
+dot product is the one ``engine.project`` writes out: the products
+rounded one by one and added left to right from the first, so the bits
+depend on no BLAS. Without the library the engine runs its Python twin,
+which gives the same bits about 30 times more slowly (100 000
+unknown-size steps on a 50-node graph: 1.0 s against 0.031 s), and the
+simulator its Python block, about 13 times more slowly (30 000
+activations there: 0.15-0.17 s against 0.012 s). Every array handed to the
 library is checked first: its dtype, layout and size, and every index it
 holds; ``Steps`` checks a rows or kernel object once: its layout is frozen.
 """

@@ -162,7 +162,7 @@ def cmd_pagerank(text, cfg):
     if mode == "dist":
         sim = simulator.run_simulation(
             g, m, chain, cfg["iterations"], trace_stride=cfg["trace_stride"],
-            oracle_x=oracle_x, rows_diag=rows)
+            oracle_x=oracle_x, rows=rows)
         if sim.audit.violations(sim.actors):
             raise ConsistencyError("locality audit found non-neighbor accesses")
         x = simulator.assemble_vector(sim.actors)

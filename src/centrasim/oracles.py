@@ -166,7 +166,9 @@ def ls_objective(x, rows):
     if rows.y is None:
         raise ValueError("rows carry no target: the network size is withheld")
     r = rows.y - rows.csr @ x
-    return float(r @ r)
+    # summed left to right, as engine.project sums: `r @ r` is BLAS ddot,
+    # whose order, and so whose last bits, depend on the host's CPU
+    return float((r * r).cumsum()[-1])
 
 
 def direct_ls_solve(rows):

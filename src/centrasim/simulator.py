@@ -1,24 +1,27 @@
 """Node-actor realization of the unknown-size PageRank iteration.
 
-Each page is an actor with a condensed row over its in-neighbors. The
-actors' values and visit counts live in two arrays that the run owns:
-actor i owns slot i of each. Each actor's index window, itself then its
-in-neighbors, and its coefficients are views of the flat regression rows
-built once; an activation pulls the window's values in one gather, applies
-the engine's own project to them, and pushes the new values back in one
-scatter. The activation token carries the global counter so nobody needs a
-clock. The engine's drive runs the simulator's blocks and traces them by
-the engine's rules, so engine and simulator traces agree bit for bit by
-construction. At the first block the run takes one of two paths, as the
-engine does: the library's unknown-size steps (``_native.Steps``) on the
-actors' own arrays and rows, which also write each step's node to a trail,
-when the library loads; else its Python block of sample/activate steps,
-the no-compiler path and the reference. The locality audit stores each
-distinct footprint (actor, window) once and, per activation, only that
-footprint's id, one byte while there are at most 256 footprints; the
-compiled path records a whole trail at once, so the audit names the very
-windows the C loop reads. Tests use it to prove that an activation of s
-touches nothing outside s and its in-neighbors.
+Each page is an actor. All actor state lives in one store, Actors: the
+graph, the regression rows, and the values and visit counts, of which
+actor i owns slot i. Row i, actor i itself then its in-neighbors, is the
+window actor i pulls values from and pushes them back to; an activation
+applies the engine's own project to the pulled values. Besides its row,
+an activation needs only the global counter k, its place in the run, so
+nobody needs a clock. The engine's drive runs the simulator's blocks and
+traces them by the engine's rules, so engine and simulator traces agree
+bit for bit by construction. At the first block the run takes one of two
+paths, as the engine does: the library's unknown-size steps
+(``_native.Steps``) on the store's arrays and rows, which also write each
+step's node to a trail, when the library loads; else its Python block, one
+activate per step, the no-compiler path and the reference. Both hand each
+block's nodes to one trail, which feeds the locality audit and the size
+estimates.
+
+The locality audit keeps the actor id of every activation, activation k at
+index k, one byte each while there are at most 256 actors. It checks the
+rows against the graph, not against themselves: column j of actor s's row
+is allowed when j is s or the edge j -> s exists. A column the graph does
+not back, such as a uniform column's entry in every row, makes each
+activation of its actor a violation.
 """
 from __future__ import annotations
 
@@ -29,151 +32,71 @@ import numpy as np
 
 from . import _native
 from .engine import KaczmarzState, choose_path, drive, project
+from .oracles import rows_from_graph
 
 
-@dataclass
-class NodeActor:
-    id: int
-    in_nbrs: np.ndarray  # sorted in-neighbor ids, what the audit allows
-    window: np.ndarray   # (id, *in_nbrs), the slots pulled from and pushed
-                         # to; both are views of the rows' frozen indices
-    coef: np.ndarray     # condensed row: [self] + in-neighbor coefficients,
-                         # a view of the rows' data
-    m: float
+class Actors:
+    """The actors' one store: the graph they live on, the regression rows
+    (row i is actor i's window and coefficients), and the arrays of their
+    values and visit counts (actor i owns slot i), all starting at 0."""
 
-
-class Actors(list):
-    """The actors in id order; `values` and `visits`, the arrays of their
-    values and visit counts (actor i owns slot i); and `rows`, the flat
-    regression rows whose indices and data the actors' windows and
-    coefficients are views of."""
-
-    def __init__(self, actors, rows):
-        super().__init__(actors)
-        self.rows = rows
+    def __init__(self, graph, rows):
+        self.graph, self.rows = graph, rows
         self.values = np.zeros(rows.n)
         self.visits = np.zeros(rows.n, dtype=np.int64)
 
 
-@dataclass
-class ActivationToken:
-    k: int = 0
-
-
-# next wider unsigned item for footprint ids that outgrow the current one
+# next wider unsigned item for actor ids that outgrow the current one
 _WIDER = {"B": "H", "H": "Q"}
 
 
 @dataclass
 class LocalityAudit:
-    """Per activation, the footprint (actor, window) it touched.
+    """The actor id of every activation in order, so activation k sits at
+    index k, in the narrowest unsigned item that fits (one byte up to 256
+    actors)."""
 
-    footprints maps each distinct footprint, keyed by the window's bytes,
-    to its id, so an honest run stores at most one per actor. events holds
-    every activation's footprint id in record order, in the narrowest
-    unsigned item that fits (one byte up to 256 footprints). A token value
-    k is stored only where it is not the previous event's plus one: jumps
-    maps that event's index to its k.
-    """
-
-    footprints: dict = field(default_factory=dict)
     events: array = field(default_factory=lambda: array("B"))
-    jumps: dict = field(default_factory=dict)
-    next_k: int = 0
-    # record_block's footprint id per actor, -1 until the actor is seen
-    _fids: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)
 
-    def record(self, k, s, window):
-        """Record that activation k of actor s read and wrote the ids of
-        `window`, an intp array."""
-        key = (s, window.tobytes())
-        fid = self.footprints.setdefault(key, len(self.footprints))
-        if k != self.next_k:
-            self.jumps[len(self.events)] = k
-        self.next_k = k + 1
-        try:
-            self.events.append(fid)
-        except OverflowError:
-            self.events = array(_WIDER[self.events.typecode], self.events)
-            self.events.append(fid)
-
-    def record_block(self, k, nodes, actors):
-        """Record activations k, k+1, ... of the actors in `nodes`, an int64
-        array, each on its own window: as record would, one by one. Each
-        actor's footprint is looked up the first time it appears here and
-        then kept: the rows' indices the windows view are frozen."""
+    def record_block(self, nodes):
+        """Record the next activations, of the actors in `nodes`, an int64
+        array."""
         if not nodes.size:
             return
-        if self._fids is None:
-            self._fids = np.full(len(actors), -1, dtype=np.int64)
-        fids = self._fids[nodes]
-        if (fids < 0).any():
-            # new footprints get ids in order of first appearance
-            for s in nodes[fids < 0].tolist():
-                if self._fids[s] < 0:
-                    key = (s, actors[s].window.tobytes())
-                    self._fids[s] = self.footprints.setdefault(
-                        key, len(self.footprints))
-            fids = self._fids[nodes]
-        if k != self.next_k:
-            self.jumps[len(self.events)] = k
-        self.next_k = k + nodes.size
-        while fids.max() > np.iinfo(self.events.typecode).max:
+        while nodes.max() > np.iinfo(self.events.typecode).max:
             self.events = array(_WIDER[self.events.typecode], self.events)
-        self.events.frombytes(fids.astype(self.events.typecode).tobytes())
+        self.events.frombytes(nodes.astype(self.events.typecode).tobytes())
 
     def violations(self, actors):
-        """(k, actor, sorted foreign ids) for every event that touched an id
-        outside the actor and its in-neighbors, in record order."""
-        foreign = {}
-        for (s, window), fid in self.footprints.items():
-            allowed = set(actors[s].in_nbrs.tolist()) | {s}
-            touched = set(np.frombuffer(window, dtype=np.intp).tolist())
-            if not touched <= allowed:
-                foreign[fid] = (s, sorted(touched - allowed))
-        if not foreign:
+        """(k, actor, sorted foreign ids) for every activation k of an actor
+        whose row holds an id that is neither the actor nor one of its
+        in-neighbors in the graph, in order."""
+        g, rows = actors.graph, actors.rows
+        owner = np.repeat(np.arange(rows.n), np.diff(rows.indptr))
+        cols = rows.indices
+        foreign = (cols != owner) & ~np.isin(cols * g.n + owner, g.keys)
+        ids = {}
+        for s, j in zip(owner[foreign].tolist(), cols[foreign].tolist()):
+            ids.setdefault(s, set()).add(j)
+        if not ids:
             return []
-        bad, k = [], -1
-        for i, fid in enumerate(self.events):
-            k = self.jumps.get(i, k + 1)
-            if fid in foreign:
-                s, ids = foreign[fid]
-                bad.append((k, s, list(ids)))
-        return bad
+        bad = np.zeros(rows.n, dtype=bool)
+        bad[list(ids)] = True
+        events = np.frombuffer(self.events, dtype=self.events.typecode)
+        ks = np.flatnonzero(bad[events])
+        return [(k, s, sorted(ids[s]))
+                for k, s in zip(ks.tolist(), events[ks].tolist())]
 
 
-def init_nodes(g, m):
-    """One actor per page; each row built from its own in-neighbor list.
-    Every value and visit count starts at 0."""
-    from .oracles import rows_from_graph
-
-    rows = rows_from_graph(g, m, n_known=False)
-    return Actors([NodeActor(id=i, in_nbrs=rows.idx[i][1:],
-                             window=rows.idx[i], coef=rows.coef[i], m=m)
-                   for i in range(g.n)], rows)
-
-
-def activate(actors, token, s, audit=None):
-    """Run one activation of actor s; returns the new stepsize alpha."""
-    actor = actors[s]
-    window, values, visits = actor.window, actors.values, actors.visits
+def activate(actors, k, s):
+    """Run activation k of actor s: pull its window's values, project them,
+    push them back. Returns the stepsize alpha = visits[s] / (k + 1)."""
+    rows, values, visits = actors.rows, actors.values, actors.visits
     visits[s] += 1
-    alpha = visits[s] / (token.k + 1)
-    # pull the window's values, project, push the new values back
-    values[window] = project(values[window], actor.coef, actor.m * alpha, alpha)
-    if audit is not None:
-        audit.record(token.k, s, window)
-    token.k += 1
+    alpha = visits[s] / (k + 1)
+    window = rows.idx[s]
+    values[window] = project(values[window], rows.coef[s], rows.m * alpha, alpha)
     return alpha
-
-
-def estimate_network_size(actors, s, token_k):
-    """Inverse visit frequency of actor s as seen at its latest activation,
-    token value token_k."""
-    if actors.visits[s] == 0:
-        return None
-    return (token_k + 1) / actors.visits[s]
 
 
 def assemble_vector(actors):
@@ -184,63 +107,60 @@ def assemble_vector(actors):
 @dataclass
 class SimulationRun:
     actors: Actors
-    token: ActivationToken
+    k: int
     trace_rows: list
     audit: LocalityAudit
     size_estimates: dict
 
 
 def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
-                   rows_diag=None):
+                   rows=None):
     """Token-passing loop over the surfer's activation sequence.
 
+    Steps on `rows`, the regression rows of g at damping m, built here
+    without the network size when not given; no step reads their target y.
     Emits the same trace format as the centralized engine, its residual
-    against rows_diag and their target y when given; with identical graph,
-    seed and schedule the traces are bit-identical. At the first block the
-    run takes the library's unknown-size steps on the actors' arrays if the
-    library loads, and its Python block otherwise; both record the same
-    audit.
+    traced when the rows carry y; with identical graph, seed and schedule
+    the traces are bit-identical. size_estimates maps each activated actor
+    to its inverse visit frequency as seen at its latest activation.
     """
-    actors = init_nodes(g, m)
-    token = ActivationToken()
-    audit = LocalityAudit()
-    last_k = np.full(g.n, -1, dtype=np.int64)  # token value at each actor's
-                                               # latest activation, or -1
+    if rows is None:
+        rows = rows_from_graph(g, m, n_known=False)
+    actors, audit = Actors(g, rows), LocalityAudit()
+    state = KaczmarzState(x=actors.values, mode="unknown-n",
+                          visits=actors.visits)
+    last_k = np.full(g.n, -1, dtype=np.int64)  # k of each actor's latest
+                                               # activation, or -1
+
+    def trail(k, nodes):
+        audit.record_block(nodes)
+        # each actor's last occurrence in the trail: the largest k
+        np.maximum.at(last_k, nodes, np.arange(k, k + nodes.size))
 
     def python():
         sample = chain.sample_next
 
         def block(count):
-            for _ in range(count):
-                s = sample()
-                last_k[s] = token.k
-                activate(actors, token, s, audit=audit)
+            k, nodes = state.k, np.empty(count, dtype=np.int64)
+            for i in range(count):
+                s = nodes[i] = sample()
+                activate(actors, k + i, s)
+            state.k += count
+            trail(k, nodes)
             return s
         return block
 
     def compiled(lib):
-        state = KaczmarzState(x=actors.values, mode="unknown-n",
-                              visits=actors.visits)
-
-        def trail(k, nodes):
-            audit.record_block(k, nodes, actors)
-            # each actor's last occurrence in the trail: the largest k
-            np.maximum.at(last_k, nodes, np.arange(k, k + nodes.size))
-
         steps = _native.Steps(lib, state, chain, on_block=trail)
+        return lambda count: steps(rows, count)
 
-        def block(count):
-            s = steps(actors.rows, count)
-            token.k = state.k
-            return s
-        return block
-
-    # the last step's alpha was visits[s] / k, k counting that step
     trace_rows = drive(choose_path(python, compiled),
-                       lambda: assemble_vector(actors),
-                       lambda s: 1.0 / (actors.visits[s] / token.k),
-                       budget, trace_stride, oracle_x, rows_diag)
-    size_estimates = {s: estimate_network_size(actors, s, last_k[s])
-                      for s in np.flatnonzero(last_k >= 0).tolist()}
-    return SimulationRun(actors=actors, token=token, trace_rows=trace_rows,
-                         audit=audit, size_estimates=size_estimates)
+                       lambda: assemble_vector(actors), state.alpha_inv,
+                       budget, trace_stride, oracle_x,
+                       rows if rows.y is not None else None)
+    seen = np.flatnonzero(last_k >= 0)
+    estimates = (last_k[seen] + 1) / actors.visits[seen]
+    return SimulationRun(actors=actors, k=state.k, trace_rows=trace_rows,
+                         audit=audit,
+                         size_estimates=dict(zip(seen.tolist(),
+                                                 estimates.tolist())))

@@ -273,6 +273,29 @@ class TestPagerank:
         assert rc == 3
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("dangling,code", [("uniform-column", 3),
+                                               ("backlink", 0)])
+    def test_dist_audit_checks_the_graph(self, tmp_path, monkeypatch, capsys,
+                                         dangling, code):
+        """d is dangling. Uniform-column repair puts d's column in every
+        row, but the graph has no edge d -> a: the audit fails the run,
+        which writes nothing and removes the directories it made. Backlink
+        repair adds the edge d -> c, the only row d's column enters."""
+        (tmp_path / "in.txt").write_text("a b\nb c\nc a\nc d\n")
+        monkeypatch.chdir(tmp_path)
+        rc = main(["pagerank", "in.txt", "--mode", "dist", "--dangling",
+                   dangling, "--iterations", "200", "--output-dir", "new/out"])
+        assert rc == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "internal consistency failure: locality audit " \
+                          "found non-neighbor accesses\n"
+            assert not (tmp_path / "new").exists()
+        else:
+            assert err == ""
+            assert sorted(p.name for p in (tmp_path / "new" / "out").iterdir()) \
+                == ["oracle.csv", "size_estimates.csv", "trace.csv", "vector.csv"]
+
     def test_failed_write_leaves_no_table(self, fig1_file, tmp_path, capsys):
         """A table that cannot be written (its target is a directory) fails
         the run before any table is written; other files stay as they were

@@ -199,7 +199,9 @@ class TestTemporal:
 
 # 20 000 steps of each size mode on the pickled graph, on the compiled
 # steps (when the library loads) and on the Python twin: one line each,
-# mode, path and the digest of the iterate's bytes
+# mode, path and the digest of the iterate's bytes; then, for the known-size
+# run, whose rows carry the target, one line "residual", path and the digest
+# of its traced residual column and of each traced residual's exact bits
 BLAS_CHILD = r"""
 import hashlib
 import pickle
@@ -207,9 +209,19 @@ import sys
 
 from centrasim import _native, engine
 from centrasim.graph import symmetrize
-from centrasim.oracles import rows_from_graph
+from centrasim.oracles import ls_objective, rows_from_graph
 from centrasim.surfer import SurferChain, _metropolis_hastings
 
+exact = []
+
+
+def traced_residual(x, rows):
+    r = ls_objective(x, rows)
+    exact.append(r.hex())
+    return r
+
+
+engine.ls_objective = traced_residual
 with open(sys.argv[1], "rb") as fh:
     g = pickle.load(fh)
 kernel = _metropolis_hastings(symmetrize(g))
@@ -218,15 +230,21 @@ for library in (_native.load(), None):
     for mode in ("known-n", "unknown-n"):
         chain = SurferChain(matrix=kernel, omega=0.15, seed=1)
         rows = rows_from_graph(g, 0.15, n_known=mode == "known-n")
-        x = engine.run(rows, chain, mode, 20_000, trace_stride=20_000).state.x
+        exact.clear()
+        out = engine.run(rows, chain, mode, 20_000, trace_stride=1_000)
+        x = out.state.x
         print(mode, library is not None, hashlib.sha256(x.tobytes()).hexdigest())
+        if rows.y is not None:
+            column = [row.split(",")[2] for row in out.trace_rows]
+            text = "\n".join(column + exact).encode()
+            print("residual", library is not None, hashlib.sha256(text).hexdigest())
 """
 
 
 def test_iterate_bits_do_not_depend_on_the_blas_kernel(tmp_path):
     """OpenBLAS picks its kernels by CPU, and OPENBLAS_CORETYPE forces one
-    in a single process. The iterate must not move under either kernel, on
-    either step path: its dot product uses no BLAS."""
+    in a single process. The iterate and the residual column must not move
+    under either kernel, on either step path: neither sum uses BLAS."""
     g = weblike_graph(np.random.default_rng(101), 400)
     (tmp_path / "g.pkl").write_bytes(pickle.dumps(g))
     src = str(Path(centrasim.__file__).resolve().parents[1])
@@ -244,7 +262,7 @@ def test_iterate_bits_do_not_depend_on_the_blas_kernel(tmp_path):
             mode, compiled, digest = line.split()
             digests.setdefault(mode, {})[coretype, compiled] = digest
     paths = {"True", "False"} if HAVE_CC else {"False"}
-    for mode in ("known-n", "unknown-n"):
+    for mode in ("known-n", "unknown-n", "residual"):
         assert set(digests[mode]) == {(c, p) for c in (None, "Prescott")
                                       for p in paths}
         assert len(set(digests[mode].values())) == 1, (mode, digests[mode])

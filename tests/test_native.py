@@ -464,11 +464,10 @@ def run_dist(g, library):
     chain = SurferChain(matrix=_metropolis_hastings(symmetrize(g)),
                         omega=0.15, seed=g.n)
     sim = simulator.run_simulation(g, 0.15, chain, 700, trace_stride=300)
-    audit = sim.audit
+    events = sim.audit.events
     return (sim.actors.values.tobytes(), sim.actors.visits.tobytes(),
-            sim.trace_rows, sim.size_estimates, list(audit.footprints.items()),
-            audit.events.typecode, audit.events.tobytes(), audit.jumps,
-            audit.next_k, chain.current, chain._rng.bit_generator.state)
+            sim.trace_rows, sim.k, sim.size_estimates, events.typecode,
+            events.tobytes(), chain.current, chain._rng.bit_generator.state)
 
 
 def run_temporal(g, library):

@@ -24,12 +24,11 @@ from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa
 from centrasim.oracles import (_loop_all_pairs, _loop_betweenness,  # noqa: E402
                                bfs_all_pairs, build_regression_rows,
                                direct_ls_solve, rows_from_graph)
-from centrasim.simulator import (ActivationToken, LocalityAudit,  # noqa: E402
-                                 activate, assemble_vector, init_nodes,
-                                 run_simulation)
+from centrasim.simulator import (Actors, LocalityAudit, activate,  # noqa: E402
+                                 assemble_vector, run_simulation)
 from centrasim.surfer import SurferChain, _metropolis_hastings  # noqa: E402
 
-from conftest import FIG1_TEXT, as_scipy, dense50_graph, needs_cc, \
+from conftest import DANGLING_TEXT, as_scipy, dense50_graph, needs_cc, \
     random_digraph, serialize_edge_list, \
     serialize_temporal_edge_list  # noqa: E402
 from test_acceptance import weblike_graph  # noqa: E402
@@ -513,7 +512,7 @@ def test_simulator_equals_unknown_n_engine(g, omega, stride, budget, seed):
         return SurferChain(matrix=kernel, omega=omega, seed=seed)
 
     sim = run_simulation(g, 0.15, chain(), budget, trace_stride=stride,
-                         oracle_x=oracle, rows_diag=rows)
+                         oracle_x=oracle, rows=rows)
     eng = run(rows, chain(), "unknown-n", budget, trace_stride=stride,
               oracle_x=oracle)
     assert sim.trace_rows == eng.trace_rows
@@ -527,7 +526,7 @@ def test_simulator_equals_unknown_n_engine(g, omega, stride, budget, seed):
 # a trace row every 300 steps, so one block spans two uniform blocks, and a
 # budget that is not a multiple of it
 @example(dense50_graph(), 0.15, 300, 1301, 2)
-# more than 256 actors activated: the audit's footprint ids widen to two bytes
+# more than 256 actors: the audit's actor ids widen to two bytes
 @example(weblike_graph(np.random.default_rng(101), 400), 0.15, 700, 4000, 5)
 @given(digraphs(), _omegas, st.integers(1, 700), st.integers(0, 1500),
        st.integers(0, 2**32 - 1))
@@ -542,160 +541,147 @@ def test_compiled_simulator_equals_python_twin(g, omega, stride, budget, seed):
     def run_once():
         chain = SurferChain(matrix=kernel, omega=omega, seed=seed)
         return run_simulation(g, 0.15, chain, budget, trace_stride=stride,
-                              oracle_x=oracle, rows_diag=rows), chain
+                              oracle_x=oracle, rows=rows), chain
 
     (a, ca), (b, cb) = _both_paths(run_once)
     assert a.trace_rows == b.trace_rows
     assert a.actors.values.tobytes() == b.actors.values.tobytes()
     assert a.actors.visits.tobytes() == b.actors.visits.tobytes()
-    assert a.token.k == b.token.k == budget
+    assert a.k == b.k == budget
     assert a.size_estimates == b.size_estimates
     assert (ca.current, ca._pos) == (cb.current, cb._pos)
     assert ca._rng.bit_generator.state == cb._rng.bit_generator.state
-    fa, fb = a.audit, b.audit
-    assert list(fa.footprints.items()) == list(fb.footprints.items())
-    assert (fa.events.typecode, fa.events.tobytes()) == \
-        (fb.events.typecode, fb.events.tobytes())
-    assert (fa.jumps, fa.next_k) == (fb.jumps, fb.next_k)
+    fa, fb = a.audit.events, b.audit.events
+    assert (fa.typecode, fa.tobytes()) == (fb.typecode, fb.tobytes())
 
 
 @settings(derandomize=True, deadline=None)
 @given(digraphs(), st.data())
 def test_activations_stay_in_their_windows(g, data):
-    """Each activation changes values only in its actor's window and an
-    honest run's audit is clean; with a foreign id put into one actor's
-    window, violations report exactly that actor's activations."""
+    """Each activation changes values only at its actor and the actor's
+    in-neighbors, and an honest run's audit is clean; on rows built from
+    the graph with one more edge f -> t, violations report exactly t's
+    activations."""
     node = st.integers(0, g.n - 1)
     order = data.draw(st.lists(node, max_size=80))
-    actors, token, audit = init_nodes(g, 0.15), ActivationToken(), LocalityAudit()
-    for s in order:
+    nodes = np.array(order, dtype=np.int64)
+    actors = Actors(g, rows_from_graph(g, 0.15, n_known=False))
+    audit = LocalityAudit()
+    for k, s in enumerate(order):
         before = actors.values.copy()
-        activate(actors, token, s, audit=audit)
+        activate(actors, k, s)
         changed = np.flatnonzero(actors.values != before).tolist()
-        assert set(changed) <= set(actors[s].in_nbrs.tolist()) | {s}
+        assert set(changed) <= set(g.in_adj[s]) | {s}
+    audit.record_block(nodes)
     assert audit.violations(actors) == []
 
     t = data.draw(node)
-    foreign = sorted(set(range(g.n)) - set(actors[t].in_nbrs.tolist()) - {t})
+    foreign = sorted(set(range(g.n)) - set(g.in_adj[t]) - {t})
     if not foreign:
         return
     f = data.draw(st.sampled_from(foreign))
-    actors, token, audit = init_nodes(g, 0.15), ActivationToken(), LocalityAudit()
-    window = actors[t].window.copy()  # the rows' indices are frozen
-    window[data.draw(st.integers(0, window.size - 1))] = f
-    actors[t].window = window
-    for s in order:
-        activate(actors, token, s, audit=audit)
+    other = DirectedGraph.from_edges(g.n, g.edges | {(f, t)})
+    actors = Actors(g, rows_from_graph(other, 0.15, n_known=False))
     assert audit.violations(actors) == \
         [(k, t, [f]) for k, s in enumerate(order) if s == t]
 
 
 class ReferenceAudit:
-    """LocalityAudit as it was: every event kept whole, each one checked
-    against its actor's allowed set; the reference for the footprint audit."""
+    """Every activation kept and checked on its own against its actor's
+    in-links in the graph; the reference for LocalityAudit."""
 
     def __init__(self):
         self.events = []
 
-    def record(self, k, s, window):
-        self.events.append((k, s, tuple(window.tolist())))
+    def record_block(self, nodes):
+        self.events.extend(nodes.tolist())
 
     def violations(self, actors):
         bad = []
-        for (k, s, window) in self.events:
-            allowed = set(actors[s].in_nbrs.tolist()) | {s}
-            touched = set(window)
+        for k, s in enumerate(self.events):
+            allowed = set(actors.graph.in_adj[s]) | {s}
+            touched = set(actors.rows.idx[s].tolist())
             if not touched <= allowed:
                 bad.append((k, s, sorted(touched - allowed)))
         return bad
 
 
-AUDIT_ACTORS = {"fig1": init_nodes(parse_edge_list(FIG1_TEXT), 0.15),
-                "dense50": init_nodes(dense50_graph(), 0.15)}
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example(repair_dangling(parse_edge_list(DANGLING_TEXT), "uniform-column"),
+         1000, 3)
+@given(hyperlink_graphs(), st.integers(0, 1500), st.integers(0, 2**32 - 1))
+def test_audit_equals_per_event_audit_on_both_paths(g, budget, seed):
+    """On the library's steps and on the Python block, the audit holds one
+    event per activation and reports what checking each event against the
+    graph reports: nothing under backlink repair, and under a uniform
+    column every activation of an actor the column has no edge into."""
+    rows = rows_from_graph(g, 0.15)
+    kernel = _metropolis_hastings(symmetrize(g))
+    for library in {_native.load(), None}:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "load", lambda: library)
+            sim = run_simulation(g, 0.15, SurferChain(matrix=kernel, omega=0.15,
+                                                      seed=seed),
+                                 budget, trace_stride=700, rows=rows)
+        events = np.array(sim.audit.events, dtype=np.int64)
+        assert events.size == budget
+        assert np.array_equal(np.bincount(events, minlength=g.n),
+                              sim.actors.visits)
+        ref = ReferenceAudit()
+        ref.record_block(events)
+        bad = sim.audit.violations(sim.actors)
+        assert bad == ref.violations(sim.actors)
+        if not g.uniform_columns:
+            assert bad == []
 
 
 @st.composite
-def audit_records(draw):
-    """Actors and (k, s, window) records: honest windows, repeats of
-    earlier records and windows of random ids, with k running on, repeating
-    or jumping."""
-    actors = AUDIT_ACTORS[draw(st.sampled_from(sorted(AUDIT_ACTORS)))]
-    node = st.integers(0, len(actors) - 1)
-    records, k = [], 0
-    for _ in range(draw(st.integers(0, 60))):
-        kind = draw(st.sampled_from(["honest", "repeat", "foreign"]))
-        if kind == "repeat" and records:
-            _, s, window = draw(st.sampled_from(records))
-        elif kind == "foreign":
-            s = draw(node)
-            window = np.array(draw(st.lists(node, max_size=12)), dtype=np.intp)
-        else:
-            s = draw(node)
-            window = actors[s].window
-        k = draw(st.sampled_from([k + 1, k + 1, k, 0]) | st.integers(-5, 10**12))
-        records.append((k, s, window))
-    return actors, records
+def id_blocks(draw):
+    """Blocks of actor ids, most below 256, some past one or two bytes."""
+    ids = st.integers(0, 255) | st.integers(0, 65_535) | st.integers(0, 1 << 20)
+    return [np.array(draw(st.lists(ids, max_size=40)), dtype=np.int64)
+            for _ in range(draw(st.integers(0, 8)))]
 
 
 @settings(derandomize=True, deadline=None)
-@given(audit_records())
-def test_footprint_audit_equals_per_event_audit(case):
-    actors, records = case
-    audit, ref = LocalityAudit(), ReferenceAudit()
-    for rec in records:
-        audit.record(*rec)
-        ref.record(*rec)
-    assert len(audit.events) == len(records)
-    assert audit.violations(actors) == ref.violations(actors)
-
-
-@st.composite
-def audit_blocks(draw):
-    """Actors and (k, nodes) blocks of activations, k running on from the
-    last block, repeating, going back or jumping."""
-    actors = AUDIT_ACTORS[draw(st.sampled_from(sorted(AUDIT_ACTORS)))]
-    node = st.integers(0, len(actors) - 1)
-    blocks, k = [], 0
-    for _ in range(draw(st.integers(0, 8))):
-        k = draw(st.sampled_from([k, k, max(k - 3, 0), 0])
-                 | st.integers(0, 10**12))
-        nodes = np.array(draw(st.lists(node, max_size=40)), dtype=np.int64)
-        blocks.append((k, nodes))
-        k += nodes.size
-    return actors, blocks
-
-
-@settings(derandomize=True, deadline=None)
-@given(audit_blocks())
-def test_record_block_equals_record_one_by_one(case):
-    actors, blocks = case
+@given(id_blocks())
+def test_record_block_equals_record_one_by_one(blocks):
+    """Blocks recorded whole or one id at a time give the same events: the
+    ids in order, in the narrowest item that holds the largest."""
     audit, ref = LocalityAudit(), LocalityAudit()
-    for k, nodes in blocks:
-        audit.record_block(k, nodes, actors)
-        for i, s in enumerate(nodes.tolist()):
-            ref.record(k + i, s, actors[s].window)
-    assert list(audit.footprints.items()) == list(ref.footprints.items())
+    for nodes in blocks:
+        audit.record_block(nodes)
+        for i in range(nodes.size):
+            ref.record_block(nodes[i:i + 1])
+    ids = [s for nodes in blocks for s in nodes.tolist()]
+    top = max(ids, default=0)
+    assert list(audit.events) == ids
+    assert audit.events.typecode == \
+        ("B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q")
     assert (audit.events.typecode, audit.events.tobytes()) == \
         (ref.events.typecode, ref.events.tobytes())
-    assert (audit.jumps, audit.next_k) == (ref.jumps, ref.next_k)
 
 
-def test_footprint_ids_widen_past_one_and_two_bytes():
-    """More than 65 536 distinct footprints: ids outgrow one byte, then two,
-    and every foreign event is still reported with its k."""
-    actors = AUDIT_ACTORS["dense50"]
+def test_event_ids_widen_past_one_and_two_bytes():
+    """More than 65 536 actors: ids outgrow one byte, then two, and every
+    foreign event is still reported with its k. The graph is a cycle; the
+    rows come from the reversed cycle, so each row's one in-neighbor is
+    foreign."""
+    n = 70_000
+    ring = np.arange(n)
+    g = DirectedGraph.from_edges(n, zip(ring, np.roll(ring, -1)))
+    back = DirectedGraph.from_edges(n, zip(np.roll(ring, -1), ring))
+    actors = Actors(g, rows_from_graph(back, 0.15, n_known=False))
     audit, ref = LocalityAudit(), ReferenceAudit()
-    k = 0
-    for s in range(50):
-        for a in range(50):
-            for b in range(27):
-                k += 1 + (a == b)
-                rec = (k, s, np.array([s, a, b], dtype=np.intp))
-                audit.record(*rec)
-                ref.record(*rec)
-    assert len(audit.footprints) == 50 * 50 * 27 > 1 << 16
-    assert len(audit.events) == len(ref.events)
-    assert audit.violations(actors) == ref.violations(actors)
+    for nodes, typecode in ((np.arange(0, 256), "B"), (np.arange(250, 300), "H"),
+                            (np.arange(65_500, 65_600), "Q"), (np.arange(9), "Q")):
+        audit.record_block(nodes)
+        ref.record_block(nodes)
+        assert audit.events.typecode == typecode
+    assert list(audit.events) == ref.events
+    bad = audit.violations(actors)
+    assert bad == ref.violations(actors)
+    assert bad == [(k, s, [(s + 1) % n]) for k, s in enumerate(ref.events)]
 
 
 # edge lists and temporal edge lists over a few labels, edge lists split

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from centrasim.engine import project, run
+from centrasim.graph import DirectedGraph
 from centrasim.oracles import direct_ls_solve, rows_from_graph
-from centrasim.simulator import (ActivationToken, LocalityAudit, activate,
-                                 assemble_vector, estimate_network_size,
-                                 init_nodes, run_simulation)
+from centrasim.simulator import (Actors, LocalityAudit, activate,
+                                 assemble_vector, run_simulation)
 from centrasim.surfer import SurferChain, build_transition_matrix
 
 from conftest import dense50_graph, random_connected_digraph
@@ -18,11 +18,22 @@ def _chain(g, omega, seed):
     return SurferChain(matrix=tm, omega=omega, seed=seed)
 
 
+def _actors(g, rows_graph=None):
+    """Actors on g whose rows are built from rows_graph (g itself if not
+    given)."""
+    return Actors(g, rows_from_graph(rows_graph or g, 0.15, n_known=False))
+
+
+def _foreign_fig1(fig1):
+    """fig1 with node 4's only in-link, 5 -> 4, moved to 0 -> 4."""
+    return DirectedGraph.from_edges(
+        6, (fig1.edges - {(5, 4)}) | {(0, 4)}, labels=fig1.labels)
+
+
 class TestActivation:
     def test_first_activation_matches_closed_form(self, fig1):
-        actors = init_nodes(fig1, m=0.15)
-        token = ActivationToken()
-        alpha = activate(actors, token, 2)
+        actors = _actors(fig1)
+        alpha = activate(actors, 0, 2)
         assert alpha == 1.0
         # x(1) = m * H_s^T at alpha = 1
         rows = rows_from_graph(fig1, m=0.15, n_known=False)
@@ -31,47 +42,39 @@ class TestActivation:
         assert np.abs(assemble_vector(actors) - expect).max() < 1e-15
 
     def test_only_neighborhood_changes(self, fig1):
-        actors = init_nodes(fig1, m=0.15)
-        token = ActivationToken()
+        actors = _actors(fig1)
         before = assemble_vector(actors)
-        activate(actors, token, 4)
+        activate(actors, 0, 3)
         after = assemble_vector(actors)
         changed = set(np.nonzero(after != before)[0].tolist())
-        assert changed <= set(actors[4].in_nbrs.tolist()) | {4}
+        assert changed == set(fig1.in_adj[3]) | {3}
 
     def test_audit_clean_on_honest_run(self, fig1):
-        actors = init_nodes(fig1, m=0.15)
-        token = ActivationToken()
-        audit = LocalityAudit()
-        chain = _chain(fig1, 0.0, seed=7)
-        for _ in range(500):
-            activate(actors, token, chain.sample_next(), audit=audit)
-        assert audit.violations(actors) == []
+        sim = run_simulation(fig1, 0.15, _chain(fig1, 0.0, seed=7), budget=500)
+        assert len(sim.audit.events) == 500
+        assert sim.audit.violations(sim.actors) == []
 
     def test_audit_flags_foreign_touch(self, fig1):
-        actors = init_nodes(fig1, m=0.15)
+        # rows from another graph, where node 4's in-neighbor is 0, not 5
+        actors = _actors(fig1, _foreign_fig1(fig1))
         audit = LocalityAudit()
-        # node 4's only in-neighbor is 5; 0 and 3 are foreign
-        audit.record(0, 4, np.array([4, 5, 0, 3], dtype=np.intp))
-        bad = audit.violations(actors)
-        assert bad == [(0, 4, [0, 3])]
+        audit.record_block(np.array([1, 4, 2, 4], dtype=np.int64))
+        assert audit.violations(actors) == [(1, 4, [0]), (3, 4, [0])]
 
     @pytest.mark.parametrize("ids", ["reads", "writes"])
     def test_audit_records_what_activate_touched(self, fig1, ids):
-        # node 4's only in-neighbor is 5: give node 4 a window with 0 in its
-        # place, which activate pulls values through (reads) and pushes them
-        # back through (writes); the audit names 0 either way
-        actors = init_nodes(fig1, m=0.15)
-        window = actors[4].window.copy()  # the rows' indices are frozen
-        window[window == 5] = 0
-        actors[4].window = window
-        token, audit = ActivationToken(), LocalityAudit()
-        activate(actors, token, 1, audit=audit)
+        # node 4's only in-neighbor is 5, but its row, from another graph,
+        # holds 0 in 5's place: activate pulls values through 0 (reads) and
+        # pushes them back through 0 (writes); the audit names 0 either way
+        actors = _actors(fig1, _foreign_fig1(fig1))
+        audit = LocalityAudit()
+        activate(actors, 0, 1)
         actors.values[:] = np.arange(1.0, 7.0) / 8
         before = actors.values.copy()
-        activate(actors, token, 4, audit=audit)
-        via = {j: project(before[[4, j]], actors[4].coef, 0.15 * 0.5, 0.5)
-               for j in (0, 5)}
+        activate(actors, 1, 4)
+        audit.record_block(np.array([1, 4], dtype=np.int64))
+        coef = actors.rows.coef[4]
+        via = {j: project(before[[4, j]], coef, 0.15 * 0.5, 0.5) for j in (0, 5)}
         if ids == "reads":
             assert actors.values[4] == via[0][0] != via[5][0]
         else:
@@ -81,28 +84,37 @@ class TestActivation:
         assert audit.violations(actors) == [(1, 4, [0])]
 
     def test_audit_memory_bounded_per_event(self):
-        actors = init_nodes(dense50_graph(), m=0.15)
-        order = np.random.default_rng(5).integers(0, 50, 100_000).tolist()
+        # one byte per event while there are at most 256 actors, recorded
+        # in trails of up to 256 nodes as the compiled steps hand them over
+        actors = _actors(dense50_graph())
+        order = np.random.default_rng(5).integers(0, 50, 100_000)
         audit = LocalityAudit()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for k, s in enumerate(order):
-                audit.record(k, s, actors[s].window)
+            for i in range(0, order.size, 256):
+                audit.record_block(order[i:i + 256])
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(audit.events) == 100_000
-        assert retained <= 16 * 100_000
+        assert audit.events.itemsize == 1
+        # the array's own spare room aside, one byte per event
+        assert retained <= 100_000 * 9 // 8
         assert audit.violations(actors) == []
 
     def test_size_estimate_lifecycle(self, fig1):
-        actors = init_nodes(fig1, m=0.15)
-        assert estimate_network_size(actors, 0, 10) is None
-        token = ActivationToken()
-        for _ in range(3):
-            activate(actors, token, 0)
-        assert estimate_network_size(actors, 0, token.k - 1) == 1.0
+        # absent until an actor's first activation; then (k + 1) / visits
+        # as seen at its latest activation k, k counting from 0
+        sim = run_simulation(fig1, 0.15, _chain(fig1, 0.0, 4), budget=3)
+        events = list(sim.audit.events)
+        assert len(sim.size_estimates) < 6
+        for s in range(6):
+            if s not in events:
+                assert s not in sim.size_estimates
+                continue
+            last = max(k for k, e in enumerate(events) if e == s)
+            assert sim.size_estimates[s] == (last + 1) / events.count(s)
 
 
 class TestEngineEquivalence:
@@ -147,5 +159,7 @@ class TestSimulationRun:
 
     def test_token_counts_activations(self, fig1):
         sim = run_simulation(fig1, 0.15, _chain(fig1, 0.0, 1), budget=777)
-        assert sim.token.k == 777
+        assert sim.k == len(sim.audit.events) == 777
         assert sim.actors.visits.sum() == 777
+        assert np.array_equal(np.bincount(sim.audit.events, minlength=6),
+                              sim.actors.visits)
