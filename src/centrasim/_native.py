@@ -29,19 +29,21 @@ None, and ``graph``'s per-line parser, its Python twin, reads it and names
 the fault. At 1.2 million lines (n = 200 000, 2 vCPUs) the parse takes
 about 0.3 s against 1.5 s, and raises the peak by half as much.
 
-``Steps`` runs the engine's blocks of steps in the library, and the
-node-actor simulator's, which also have it write each step's node to a
-trail of at most one uniform block (``BLOCK_STEPS``); the simulator hands
-that trail to the locality audit, which keeps each step's actor id. Its
-dot product is the one ``engine.project`` writes out: the products
-rounded one by one and added left to right from the first, so the bits
-depend on no BLAS. Without the library the engine runs its Python twin,
-which gives the same bits about 30 times more slowly (100 000
-unknown-size steps on a 50-node graph: 1.0 s against 0.031 s), and the
-simulator its Python block, about 13 times more slowly (30 000
-activations there: 0.15-0.17 s against 0.012 s). Every array handed to the
-library is checked first: its dtype, layout and size, and every index it
-holds; ``Steps`` checks a rows or kernel object once: its layout is frozen.
+``Steps`` runs a run's blocks of steps in the library: the engine's and
+the node-actor simulator's, which is an unknown-size run. The engine
+chooses it, or its Python twin, once when a run starts. Given on_block,
+either path writes each step's node to a trail of at most one uniform
+block (``BLOCK_STEPS``) and hands it on; the simulator's trail feeds the
+locality audit, which keeps each step's actor id. Its dot product is the
+one ``engine.project`` writes out: the products rounded one by one and
+added left to right from the first, so the bits depend on no BLAS. The
+twin gives the same bits about 30 times more slowly (100 000
+unknown-size steps on a 50-node graph: 0.54-0.59 s against 0.018 s), and
+20 times for the simulator, where it calls ``simulator.activate`` each
+step (30 000 activations there: 0.15-0.16 s against 0.008 s; medians of
+7 runs, in two processes, 2 vCPUs). Every array handed to the library is
+checked first: its dtype, layout and size, and every index it holds;
+``Steps`` checks a rows or kernel object once: its layout is frozen.
 """
 from __future__ import annotations
 

@@ -19,17 +19,18 @@ target y either: known size takes m/n from the rows' m and n. The
 node-actor simulator calls the same project on the values it pulls.
 
 One driver, drive, runs the engine's loops and the simulator's: it hands
-the steps up to the next trace row to a block callable, then traces, and
-asks the run for the inverse stepsize only there. The engine's modes step
-through one contract, steps(rows, count) -> last node, on one of two
-paths chosen at the first block by choose_path: the compiled library's
-steps (``_native.Steps``) when it loads, else the Python twin, which
-samples and steps once per activation. Both do the same float operations
-in the same order, the projection's dot product included: the products
-rounded one by one and added left to right, on no BLAS. So they give the
-same bits on every host; the twin is the no-compiler path and the
-reference. The simulator chooses its path the same way: the library's
-unknown-size steps, or its own Python block of activations.
+the steps up to the next trace row to a block callable, then traces the
+state, reading its inverse stepsize only there. Every run steps through
+one contract, steps(rows, count) -> last node, on the path _engine_steps
+chooses when the run starts: the compiled library's steps
+(``_native.Steps``) when it loads, else the Python twin, which samples
+and calls the run's step function once per activation. Both do the same
+float operations in the same order, the projection's dot product
+included: the products rounded one by one and added left to right, on no
+BLAS. So they give the same bits on every host; the twin is the
+no-compiler path and the reference. Both hand each block's first k and
+nodes to on_block when given: so the node-actor simulator, an
+unknown-size run with its own step function, feeds its locality audit.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from . import _native
 from .oracles import build_regression_rows, ls_objective
+from .surfer import BLOCK_STEPS
 
 TRACE_HEADER = "k,error,residual,alpha_inv,active_node"
 
@@ -52,7 +54,8 @@ def format_trace_row(k, error, residual, alpha_inv, node):
 
 @dataclass
 class KaczmarzState:
-    """Mutable solver state; owned by exactly one execution stream."""
+    """Mutable solver state; owned by exactly one execution stream. Its
+    mode, "known-n" or "unknown-n", says if the run knows the size n."""
 
     x: np.ndarray
     mode: str
@@ -61,7 +64,7 @@ class KaczmarzState:
 
     @staticmethod
     def fresh(n, mode):
-        if mode not in ("known-n", "unknown-n", "temporal"):
+        if mode not in ("known-n", "unknown-n"):
             raise ValueError(f"unknown mode {mode!r}")
         return KaczmarzState(
             x=np.zeros(n), mode=mode, visits=np.zeros(n, dtype=np.int64)
@@ -121,55 +124,45 @@ def step_temporal(state, s, rows):
     return state, alpha
 
 
-def _python_steps(state, chain):
+def _python_steps(state, chain, step, on_block=None):
     """The Python twin of ``_native.Steps``: steps(rows, count) samples and
-    steps `count` times on the rows and returns the last node activated.
-    The step function is looked up here, when the first block runs."""
-    step = {"known-n": step_known_n, "unknown-n": step_unknown_n,
-            "temporal": step_temporal}[state.mode]
-    sample = chain.sample_next
+    calls step(state, s, rows) `count` times and returns the last node
+    activated. With on_block, each block of at most BLOCK_STEPS steps then
+    hands on_block(k, nodes) its first step's k and its nodes, a trail the
+    next block overwrites."""
+    sample, trail = chain.sample_next, np.empty(BLOCK_STEPS, dtype=np.int64)
 
     def steps(rows, count):
-        for _ in range(count):
-            s = sample()
-            step(state, s, rows)
+        while count:
+            k, take = state.k, min(count, BLOCK_STEPS)
+            for i in range(take):
+                s = trail[i] = sample()
+                step(state, s, rows)
+            count -= take
+            if on_block is not None:
+                on_block(k, trail[:take])
         return s
     return steps
 
 
-def choose_path(python, compiled):
-    """A callable that, at its first call, becomes compiled(lib) if the
-    library loads, and python() otherwise, and passes every call on to
-    it."""
-    chosen = None
-
-    def call(*args):
-        nonlocal chosen
-        if chosen is None:
-            lib = _native.load()
-            chosen = python() if lib is None else compiled(lib)
-        return chosen(*args)
-    return call
+def _engine_steps(state, chain, step, on_block=None):
+    """steps(rows, count) for a run, chosen when it starts: the library's
+    steps if it loads, else the Python twin on `step`."""
+    lib = _native.load()
+    if lib is None:
+        return _python_steps(state, chain, step, on_block)
+    return _native.Steps(lib, state, chain, on_block)
 
 
-def _engine_steps(state, chain):
-    """steps(rows, count) for the engine's modes: the library's steps if
-    it loads at the first block, else the Python twin."""
-    return choose_path(lambda: _python_steps(state, chain),
-                       lambda lib: _native.Steps(lib, state, chain))
-
-
-def drive(block, vector, alpha_inv, budget, trace_stride, oracle_x=None,
-          rows_diag=None):
+def drive(state, block, budget, trace_stride, oracle_x=None, rows=None):
     """Run `budget` activations in blocks, one per trace row; return the
     trace rows.
 
-    block(count) runs the next `count` activations and returns the node of
-    the last one; vector() returns the current iterate and alpha_inv(s)
-    the last step's inverse stepsize. A trace row is recorded every
-    `trace_stride` steps: error against the oracle vector (when given),
-    the stacked-residual diagnostic against rows_diag and its target
-    rows_diag.y (when given), the inverse stepsize and the active node.
+    block(count) runs the next `count` activations on `state` and returns
+    the node of the last one. A trace row is recorded every `trace_stride`
+    steps: error of state.x against the oracle vector (when given), the
+    stacked-residual diagnostic against `rows` and their target y (when
+    they carry it), the last step's inverse stepsize and the active node.
     """
     trace_rows = []
     k = 0
@@ -178,11 +171,12 @@ def drive(block, vector, alpha_inv, budget, trace_stride, oracle_x=None,
         s = block(count)
         k += count
         if k % trace_stride == 0:
-            x = vector()
-            err = (float(np.abs(x - oracle_x).max())
+            err = (float(np.abs(state.x - oracle_x).max())
                    if oracle_x is not None else None)
-            res = ls_objective(x, rows_diag) if rows_diag is not None else None
-            trace_rows.append(format_trace_row(k, err, res, alpha_inv(s), s))
+            res = (ls_objective(state.x, rows)
+                   if rows is not None and rows.y is not None else None)
+            trace_rows.append(format_trace_row(k, err, res,
+                                               state.alpha_inv(s), s))
     return trace_rows
 
 
@@ -199,10 +193,10 @@ def run(rows, chain, mode, budget, trace_stride=100, oracle_x=None):
     no step reads it.
     """
     state = KaczmarzState.fresh(rows.n, mode)
-    steps = _engine_steps(state, chain)
-    trace_rows = drive(lambda count: steps(rows, count), lambda: state.x,
-                       state.alpha_inv, budget, trace_stride, oracle_x,
-                       rows if rows.y is not None else None)
+    steps = _engine_steps(state, chain, step_known_n if mode == "known-n"
+                          else step_unknown_n)
+    trace_rows = drive(state, lambda count: steps(rows, count), budget,
+                       trace_stride, oracle_x, rows)
     return EngineRun(state=state, trace_rows=trace_rows)
 
 
@@ -221,7 +215,7 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
     arrays), an entry's rows share the last entry's layout and only their
     data is new (build_regression_rows' like).
     """
-    state = KaczmarzState.fresh(snapshot_mats[0].shape[0], "temporal")
+    state = KaczmarzState.fresh(snapshot_mats[0].shape[0], "unknown-n")
     last = len(snapshot_mats) - 1
     held = (None, None)  # the average and rows of the last entry
 
@@ -236,7 +230,7 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
         return held[1]
 
     active, rows = 0, enter(0)
-    steps = _engine_steps(state, chain)
+    steps = _engine_steps(state, chain, step_temporal)
 
     def block(count):
         nonlocal active, rows
@@ -251,6 +245,5 @@ def run_temporal(snapshot_mats, kernels, chain, pa, m, budget, snapshot_stride,
             count -= take
         return s
 
-    trace_rows = drive(block, lambda: state.x, state.alpha_inv, budget,
-                       trace_stride)
+    trace_rows = drive(state, block, budget, trace_stride)
     return EngineRun(state=state, trace_rows=trace_rows)

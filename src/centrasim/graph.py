@@ -156,53 +156,43 @@ def _pair_ids(ids):
     return np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
 
 
-def _edge_lines(text):
-    """(labels, ids) of `src dst` lines, read line by line: the twin of the
-    library's parse, and the reader of any text it leaves."""
+def _lines(text, width):
+    """(labels, ids, times) of `src dst` lines (width 2) or `time src dst`
+    lines (width 3), read line by line, as ``_native.parse`` returns them:
+    the labels in order of first appearance, each line's (src, dst) ids as
+    an (edges, 2) int64 array and each line's time (none for width 2), as
+    int64 or, once a time passes int64, as Python ints in an object array.
+    The twin of the library's parse, and the reader of any text it leaves,
+    which names each fault with its line."""
+    form = "'src dst'" if width == 2 else "'time src dst'"
     index = {}
     ids = array("q")
+    times = []
     for lineno, parts in _tokenize(text):
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'src dst', got {parts!r}")
-        src, dst = parts
+        if len(parts) != width:
+            raise GraphFormatError(f"line {lineno}: expected {form}, got {parts!r}")
+        src, dst = parts[-2:]
+        if width == 3:
+            try:
+                t = int(parts[0])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad time value {parts[0]!r}") from None
+            if t < 0:
+                raise GraphFormatError(f"line {lineno}: negative time {t}")
+            if times and t < times[-1]:
+                raise GraphFormatError(f"line {lineno}: time {t} decreases below {times[-1]}")
+            times.append(t)
         if src == dst:
             raise GraphFormatError(f"line {lineno}: self-loop on node {src!r}")
         ids.append(index.setdefault(src, len(index)))
         ids.append(index.setdefault(dst, len(index)))
     if not ids:
-        raise GraphFormatError("no edges in edge list")
-    return tuple(index), _pair_ids(ids)
-
-
-def _temporal_lines(text):
-    """(labels, ids, times, starts) of `time src dst` lines, read line by
-    line, with each snapshot's time and first line: the twin of the
-    library's parse, and the reader of any text it leaves."""
-    index = {}
-    ids = array("q")
-    times, starts = [], []
-    for lineno, parts in _tokenize(text):
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'time src dst', got {parts!r}")
-        t_str, src, dst = parts
-        try:
-            t = int(t_str)
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: bad time value {t_str!r}") from None
-        if t < 0:
-            raise GraphFormatError(f"line {lineno}: negative time {t}")
-        if times and t < times[-1]:
-            raise GraphFormatError(f"line {lineno}: time {t} decreases below {times[-1]}")
-        if src == dst:
-            raise GraphFormatError(f"line {lineno}: self-loop on node {src!r}")
-        if not times or t > times[-1]:
-            times.append(t)
-            starts.append(len(ids) // 2)
-        ids.append(index.setdefault(src, len(index)))
-        ids.append(index.setdefault(dst, len(index)))
-    if not times:
-        raise GraphFormatError("no snapshots in temporal edge list")
-    return tuple(index), _pair_ids(ids), times, starts
+        raise GraphFormatError("no edges in edge list" if width == 2 else
+                               "no snapshots in temporal edge list")
+    # the last time is the largest; numpy would round a mix to float64
+    wide = times and times[-1] >= 1 << 63
+    return (tuple(index), _pair_ids(ids),
+            np.array(times, dtype=object if wide else np.int64))
 
 
 def parse_edge_list(text):
@@ -211,8 +201,7 @@ def parse_edge_list(text):
     Duplicate edges collapse silently; a self-loop or an input without
     edges is an error. Nodes are numbered in order of first appearance.
     """
-    parsed = _compiled(text, 2)
-    labels, ids = _edge_lines(text) if parsed is None else parsed[:2]
+    labels, ids, _ = _compiled(text, 2) or _lines(text, 2)
     n = len(labels)
     return DirectedGraph(n=n, keys=_sorted_unique(ids[:, 0] * n + ids[:, 1]),
                          labels=labels)
@@ -225,13 +214,9 @@ def parse_temporal_edge_list(text):
     whole file and is shared by every snapshot, and snapshots with the same
     edges share one DirectedGraph.
     """
-    parsed = _compiled(text, 3)
-    if parsed is None:
-        labels, ids, times, starts = _temporal_lines(text)
-    else:
-        labels, ids, line_times = parsed
-        starts = [0, *(np.flatnonzero(np.diff(line_times)) + 1).tolist()]
-        times = line_times[starts].tolist()
+    labels, ids, line_times = _compiled(text, 3) or _lines(text, 3)
+    starts = [0, *(np.flatnonzero(np.diff(line_times)) + 1).tolist()]
+    times = line_times[starts].tolist()
     n = len(labels)
     line_keys = ids[:, 0] * n + ids[:, 1]
     bounds = [*starts, len(ids)]

@@ -6,22 +6,21 @@ actor i owns slot i. Row i, actor i itself then its in-neighbors, is the
 window actor i pulls values from and pushes them back to; an activation
 applies the engine's own project to the pulled values. Besides its row,
 an activation needs only the global counter k, its place in the run, so
-nobody needs a clock. The engine's drive runs the simulator's blocks and
-traces them by the engine's rules, so engine and simulator traces agree
-bit for bit by construction. At the first block the run takes one of two
-paths, as the engine does: the library's unknown-size steps
-(``_native.Steps``) on the store's arrays and rows, which also write each
-step's node to a trail, when the library loads; else its Python block, one
-activate per step, the no-compiler path and the reference. Both hand each
-block's nodes to one trail, which feeds the locality audit and the size
-estimates.
+nobody needs a clock. The run is the engine's unknown-size run with
+activate as its step function and a trail: the engine chooses its path
+when the run starts (the library's unknown-size steps on the store's
+arrays, else its Python twin, one activate per step), drive traces it by
+the engine's rules, and each block's nodes go to the trail, which feeds
+the locality audit and the size estimates. So engine and simulator
+traces agree bit for bit by construction.
 
 The locality audit keeps the actor id of every activation, activation k at
-index k, one byte each while there are at most 256 actors. It checks the
-rows against the graph, not against themselves: column j of actor s's row
-is allowed when j is s or the edge j -> s exists. A column the graph does
-not back, such as a uniform column's entry in every row, makes each
-activation of its actor a violation.
+index k, one byte each while there are at most 256 actors, two up to
+65 536, four up to 2**32. It checks the rows against the graph, not
+against themselves: column j of actor s's row is allowed when j is s or
+the edge j -> s exists. A column the graph does not back, such as a
+uniform column's entry in every row, makes each activation of its actor
+a violation.
 """
 from __future__ import annotations
 
@@ -30,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _native
-from .engine import KaczmarzState, choose_path, drive, project
+from .engine import KaczmarzState, _engine_steps, alpha_update, drive, project
 from .oracles import rows_from_graph
 
 
@@ -47,7 +45,7 @@ class Actors:
 
 
 # next wider unsigned item for actor ids that outgrow the current one
-_WIDER = {"B": "H", "H": "Q"}
+_WIDER = {"B": "H", "H": "I", "I": "Q"}
 
 
 @dataclass
@@ -88,14 +86,15 @@ class LocalityAudit:
                 for k, s in zip(ks.tolist(), events[ks].tolist())]
 
 
-def activate(actors, k, s):
-    """Run activation k of actor s: pull its window's values, project them,
-    push them back. Returns the stepsize alpha = visits[s] / (k + 1)."""
-    rows, values, visits = actors.rows, actors.values, actors.visits
-    visits[s] += 1
-    alpha = visits[s] / (k + 1)
+def activate(state, s, rows):
+    """Run the next activation, of actor s: pull its window's values,
+    project them, push them back; return the stepsize visits[s] / (k + 1).
+    It is step_unknown_n written out as the actor's protocol, kept while
+    perfbench's tracer times the simulator's activations by this name."""
+    values, alpha = state.x, alpha_update(state, s)
     window = rows.idx[s]
     values[window] = project(values[window], rows.coef[s], rows.m * alpha, alpha)
+    state.k += 1
     return alpha
 
 
@@ -137,27 +136,9 @@ def run_simulation(g, m, chain, budget, trace_stride=100, oracle_x=None,
         # each actor's last occurrence in the trail: the largest k
         np.maximum.at(last_k, nodes, np.arange(k, k + nodes.size))
 
-    def python():
-        sample = chain.sample_next
-
-        def block(count):
-            k, nodes = state.k, np.empty(count, dtype=np.int64)
-            for i in range(count):
-                s = nodes[i] = sample()
-                activate(actors, k + i, s)
-            state.k += count
-            trail(k, nodes)
-            return s
-        return block
-
-    def compiled(lib):
-        steps = _native.Steps(lib, state, chain, on_block=trail)
-        return lambda count: steps(rows, count)
-
-    trace_rows = drive(choose_path(python, compiled),
-                       lambda: assemble_vector(actors), state.alpha_inv,
-                       budget, trace_stride, oracle_x,
-                       rows if rows.y is not None else None)
+    steps = _engine_steps(state, chain, activate, on_block=trail)
+    trace_rows = drive(state, lambda count: steps(rows, count), budget,
+                       trace_stride, oracle_x, rows)
     seen = np.flatnonzero(last_k >= 0)
     estimates = (last_k[seen] + 1) / actors.visits[seen]
     return SimulationRun(actors=actors, k=state.k, trace_rows=trace_rows,

@@ -753,11 +753,9 @@ def test_cli_commands_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# The compiled library is found or built on first use: on a run's first
-# block of engine or node-actor steps, or in Brandes and BFS. A pass of no
-# steps never loads it; a run of steps asks for it once.
-# each command's first request for the library comes from its parse, which
-# loads it; the steps and the oracles ask again and find it loaded
+# Each command's first request for the library comes from its parse, which
+# loads it; every pagerank run asks again when it starts, a run of no steps
+# too, and the oracles in Brandes and BFS, and they find it loaded.
 LIBRARY_SCRIPT = """
 import sys
 from centrasim import _native, cli
@@ -773,12 +771,13 @@ def asking():
 _native.load = asking
 steps = ["--iterations", "500"]
 for argv, later in (
-        (["pagerank", "fig1.txt", "--iterations", "0"], []),
-        (["pagerank", "fig1.txt", "--mode", "dist", "--iterations", "0"], []),
-        (["pagerank-temporal", "seq.txt", "--iterations", "0"], []),
-        (["pagerank", "fig1.txt", *steps], ["call"]),
-        (["pagerank", "fig1.txt", "--mode", "dist", *steps], ["call"]),
-        (["pagerank-temporal", "seq.txt", *steps], ["call"]),
+        (["pagerank", "fig1.txt", "--iterations", "0"], ["_engine_steps"]),
+        (["pagerank", "fig1.txt", "--mode", "dist", "--iterations", "0"],
+         ["_engine_steps"]),
+        (["pagerank-temporal", "seq.txt", "--iterations", "0"], ["_engine_steps"]),
+        (["pagerank", "fig1.txt", *steps], ["_engine_steps"]),
+        (["pagerank", "fig1.txt", "--mode", "dist", *steps], ["_engine_steps"]),
+        (["pagerank-temporal", "seq.txt", *steps], ["_engine_steps"]),
         (["centrality", "fig1.txt"], ["brandes_betweenness"]),
         (["oracle", "fig1.txt"], ["brandes_betweenness", "bfs_all_pairs"])):
     load.cache_clear()

@@ -142,6 +142,8 @@ class TestUnknownN:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             KaczmarzState.fresh(4, "sideways")
+        with pytest.raises(ValueError):  # a temporal run is unknown-n
+            KaczmarzState.fresh(4, "temporal")
 
 
 class TestTemporal:
@@ -190,7 +192,7 @@ class TestTemporal:
         w = build_hyperlink_matrix(fig1)
         pa = PersistentAverage(rho=1.0).update(w)
         rows = rows_from_graph(fig1, m=0.15, n_known=False)
-        a = KaczmarzState.fresh(6, "temporal")
+        a = KaczmarzState.fresh(6, "unknown-n")
         b = KaczmarzState.fresh(6, "unknown-n")
         step_temporal(a, 3, build_regression_rows(pa.wbar, 0.15, n_known=False))
         step_unknown_n(b, 3, rows)

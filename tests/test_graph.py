@@ -94,6 +94,10 @@ class TestParseTemporal:
     def test_time_past_int64(self):
         seq = parse_temporal_edge_list("0 a b\n99999999999999999999 b c\n")
         assert [t for t, _ in seq.snapshots] == [0, 10**20 - 1]
+        # past int64 but within uint64: still exact, still distinct
+        times = [0, 2**63, 2**63 + 1]
+        seq = parse_temporal_edge_list("".join(f"{t} a b\n" for t in times))
+        assert [t for t, _ in seq.snapshots] == times
 
     def test_round_trip(self):
         seq = parse_temporal_edge_list("0 a b\n0 b c\n5 a c")

@@ -266,7 +266,7 @@ def _temporal_rows():
     kernel = _metropolis_hastings(symmetrize(g))
     entered = []
 
-    def stub_steps(state, chain):
+    def stub_steps(state, chain, step, on_block=None):
         def steps(rows, count):
             entered.append(rows)
             state.k += count

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from centrasim import _native, engine  # noqa: E402
 from centrasim.cli import KEYS, main  # noqa: E402
-from centrasim.engine import project, run, run_temporal  # noqa: E402
+from centrasim.engine import KaczmarzState, project, run, \
+    run_temporal  # noqa: E402
 from centrasim.errors import GraphFormatError, RepairError  # noqa: E402
 from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
                              map_distinct, parse_edge_list, parse_temporal_edge_list,
@@ -405,8 +406,8 @@ def test_pattern_reuse_equals_fresh_build_bit_for_bit(graphs, rho):
     pa, entered = PersistentAverage(rho=rho), []
     engine_steps = engine._engine_steps
 
-    def recording_steps(state, chain):
-        steps = engine_steps(state, chain)
+    def recording_steps(state, chain, step, on_block=None):
+        steps = engine_steps(state, chain, step, on_block)
 
         def record(rows, count):
             if not entered or rows is not entered[-1][0]:
@@ -471,6 +472,54 @@ def test_compiled_steps_equal_python_step_loop(g, mode, omega, stride, budget,
 
     compiled, python = _both_paths(run_once)
     _assert_same_run(compiled, python)
+
+
+@needs_cc
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example([dense50_graph()], "unknown-n", 0.15, 1000, 300, 1301, 2)
+@given(snapshot_sequences(), st.sampled_from(["known-n", "unknown-n", "temporal"]),
+       _omegas, st.integers(1, 300), st.integers(1, 700), st.integers(0, 1500),
+       st.integers(0, 2**32 - 1))
+def test_twin_hands_on_block_the_compiled_trail_and_the_walk(
+        graphs, mode, omega, snapshot_stride, stride, budget, seed):
+    """In every mode, the (k, nodes) blocks the Python twin hands to
+    on_block follow on from each other, and their nodes are the compiled
+    steps' trail and the twin's samples, one per step."""
+    mats = [build_hyperlink_matrix(g) for g in graphs]
+    engine_steps = engine._engine_steps
+
+    def run_once():
+        blocks, sampled = [], []
+
+        def trail_steps(state, chain, step, on_block=None):
+            sample = chain.sample_next
+
+            def counted():
+                sampled.append(sample())
+                return sampled[-1]
+            chain.sample_next = counted  # the twin samples through it
+            return engine_steps(state, chain, step, on_block=lambda k, nodes:
+                                blocks.append((k, nodes.tolist())))
+
+        kernels = [_metropolis_hastings(symmetrize(g)) for g in graphs]
+        chain = SurferChain(matrix=kernels[0], omega=omega, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_engine_steps", trail_steps)
+            if mode == "temporal":
+                run_temporal(mats, kernels, chain, PersistentAverage(rho=0.9),
+                             0.15, budget, snapshot_stride, trace_stride=stride)
+            else:
+                run(rows_from_graph(graphs[0], 0.15), chain, mode, budget,
+                    trace_stride=stride)
+        return blocks, sampled
+
+    (compiled, none), (python, sampled) = _both_paths(run_once)
+    assert none == [] and len(sampled) == budget
+    for blocks in (compiled, python):
+        assert [k for k, _ in blocks] == \
+            np.cumsum([0, *(len(nodes) for _, nodes in blocks)])[:-1].tolist()
+    assert [s for _, nodes in python for s in nodes] == sampled == \
+        [s for _, nodes in compiled for s in nodes]
 
 
 @needs_cc
@@ -567,9 +616,11 @@ def test_activations_stay_in_their_windows(g, data):
     nodes = np.array(order, dtype=np.int64)
     actors = Actors(g, rows_from_graph(g, 0.15, n_known=False))
     audit = LocalityAudit()
-    for k, s in enumerate(order):
+    state = KaczmarzState(x=actors.values, mode="unknown-n",
+                          visits=actors.visits)
+    for s in order:
         before = actors.values.copy()
-        activate(actors, k, s)
+        activate(state, s, actors.rows)
         changed = np.flatnonzero(actors.values != before).tolist()
         assert set(changed) <= set(g.in_adj[s]) | {s}
     audit.record_block(nodes)
@@ -637,8 +688,10 @@ def test_audit_equals_per_event_audit_on_both_paths(g, budget, seed):
 
 @st.composite
 def id_blocks(draw):
-    """Blocks of actor ids, most below 256, some past one or two bytes."""
-    ids = st.integers(0, 255) | st.integers(0, 65_535) | st.integers(0, 1 << 20)
+    """Blocks of actor ids, most below 256, some past one, two or four
+    bytes."""
+    ids = (st.integers(0, 255) | st.integers(0, 65_535) | st.integers(0, 1 << 20)
+           | st.integers(0, 1 << 33))
     return [np.array(draw(st.lists(ids, max_size=40)), dtype=np.int64)
             for _ in range(draw(st.integers(0, 8)))]
 
@@ -657,16 +710,17 @@ def test_record_block_equals_record_one_by_one(blocks):
     top = max(ids, default=0)
     assert list(audit.events) == ids
     assert audit.events.typecode == \
-        ("B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q")
+        ("B" if top < 1 << 8 else "H" if top < 1 << 16 else
+         "I" if top < 1 << 32 else "Q")
     assert (audit.events.typecode, audit.events.tobytes()) == \
         (ref.events.typecode, ref.events.tobytes())
 
 
 def test_event_ids_widen_past_one_and_two_bytes():
-    """More than 65 536 actors: ids outgrow one byte, then two, and every
-    foreign event is still reported with its k. The graph is a cycle; the
-    rows come from the reversed cycle, so each row's one in-neighbor is
-    foreign."""
+    """More than 65 536 actors: ids outgrow one byte, then two, and take
+    four; every foreign event is still reported with its k, and an id past
+    four bytes takes eight. The graph is a cycle; the rows come from the
+    reversed cycle, so each row's one in-neighbor is foreign."""
     n = 70_000
     ring = np.arange(n)
     g = DirectedGraph.from_edges(n, zip(ring, np.roll(ring, -1)))
@@ -674,7 +728,7 @@ def test_event_ids_widen_past_one_and_two_bytes():
     actors = Actors(g, rows_from_graph(back, 0.15, n_known=False))
     audit, ref = LocalityAudit(), ReferenceAudit()
     for nodes, typecode in ((np.arange(0, 256), "B"), (np.arange(250, 300), "H"),
-                            (np.arange(65_500, 65_600), "Q"), (np.arange(9), "Q")):
+                            (np.arange(65_500, 65_600), "I"), (np.arange(9), "I")):
         audit.record_block(nodes)
         ref.record_block(nodes)
         assert audit.events.typecode == typecode
@@ -682,6 +736,9 @@ def test_event_ids_widen_past_one_and_two_bytes():
     bad = audit.violations(actors)
     assert bad == ref.violations(actors)
     assert bad == [(k, s, [(s + 1) % n]) for k, s in enumerate(ref.events)]
+    audit.record_block(np.array([2**32]))
+    assert audit.events.typecode == "Q"
+    assert list(audit.events) == [*ref.events, 2**32]
 
 
 # edge lists and temporal edge lists over a few labels, edge lists split

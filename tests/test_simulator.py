@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from centrasim.engine import project, run
+from centrasim.engine import KaczmarzState, project, run
 from centrasim.graph import DirectedGraph
 from centrasim.oracles import direct_ls_solve, rows_from_graph
 from centrasim.simulator import (Actors, LocalityAudit, activate,
@@ -24,6 +24,12 @@ def _actors(g, rows_graph=None):
     return Actors(g, rows_from_graph(rows_graph or g, 0.15, n_known=False))
 
 
+def _state(actors):
+    """A run's state on the actors' store, at k = 0."""
+    return KaczmarzState(x=actors.values, mode="unknown-n",
+                         visits=actors.visits)
+
+
 def _foreign_fig1(fig1):
     """fig1 with node 4's only in-link, 5 -> 4, moved to 0 -> 4."""
     return DirectedGraph.from_edges(
@@ -33,7 +39,7 @@ def _foreign_fig1(fig1):
 class TestActivation:
     def test_first_activation_matches_closed_form(self, fig1):
         actors = _actors(fig1)
-        alpha = activate(actors, 0, 2)
+        alpha = activate(_state(actors), 2, actors.rows)
         assert alpha == 1.0
         # x(1) = m * H_s^T at alpha = 1
         rows = rows_from_graph(fig1, m=0.15, n_known=False)
@@ -44,7 +50,7 @@ class TestActivation:
     def test_only_neighborhood_changes(self, fig1):
         actors = _actors(fig1)
         before = assemble_vector(actors)
-        activate(actors, 0, 3)
+        activate(_state(actors), 3, actors.rows)
         after = assemble_vector(actors)
         changed = set(np.nonzero(after != before)[0].tolist())
         assert changed == set(fig1.in_adj[3]) | {3}
@@ -67,11 +73,11 @@ class TestActivation:
         # holds 0 in 5's place: activate pulls values through 0 (reads) and
         # pushes them back through 0 (writes); the audit names 0 either way
         actors = _actors(fig1, _foreign_fig1(fig1))
-        audit = LocalityAudit()
-        activate(actors, 0, 1)
+        audit, state = LocalityAudit(), _state(actors)
+        activate(state, 1, actors.rows)
         actors.values[:] = np.arange(1.0, 7.0) / 8
         before = actors.values.copy()
-        activate(actors, 1, 4)
+        activate(state, 4, actors.rows)
         audit.record_block(np.array([1, 4], dtype=np.int64))
         coef = actors.rows.coef[4]
         via = {j: project(before[[4, j]], coef, 0.15 * 0.5, 0.5) for j in (0, 5)}
