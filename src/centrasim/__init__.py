@@ -11,9 +11,9 @@ import importlib
 # where each public name lives; a name is imported from its module on first
 # read (PEP 562), so `import centrasim` loads no submodule and no numpy
 _MODULES = {
-    "graph": ("DirectedGraph", "TemporalGraphSequence", "parse_edge_list",
-              "parse_temporal_edge_list", "repair_dangling", "symmetrize",
-              "validate_oriented_tree"),
+    "graph": ("DirectedGraph", "TemporalGraphSequence", "is_oriented_tree",
+              "parse_edge_list", "parse_temporal_edge_list", "repair_dangling",
+              "symmetrize"),
     "levelsets": ("CentralityVector", "LevelSets", "closeness_centrality",
                   "degree_centrality", "normalize", "run_levelset",
                   "tree_betweenness"),

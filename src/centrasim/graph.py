@@ -2,7 +2,9 @@
 
 A graph is its edge keys ``src*n + dst``, sorted and without repeats. The
 out- and in-adjacency are CSR arrays read off the keys on first use, and
-symmetrize, repair and the structure checks work on key arrays too.
+symmetrize and repair work on key arrays too. Both structure checks, the
+oriented-tree test and connectivity, count the components of a symmetric
+CSR with one depth-first search (``_components``).
 Building a graph runs no Python loop over its edges: the compiled library
 parses a plain edge list (``_native.parse``), and only other text, or a
 host without a C compiler, goes through the per-line tokenizer, which
@@ -44,7 +46,7 @@ class DirectedGraph:
     uniform_columns: frozenset[int] = field(default_factory=frozenset)
 
     @staticmethod
-    def from_edges(n, edges, labels=None, uniform_columns=()):
+    def from_edges(n, edges, labels=None):
         pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         loops = pairs[pairs[:, 0] == pairs[:, 1]]
         if loops.size:
@@ -56,8 +58,7 @@ class DirectedGraph:
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         return DirectedGraph(n=n, keys=_sorted_unique(pairs[:, 0] * n + pairs[:, 1]),
-                             labels=tuple(labels),
-                             uniform_columns=frozenset(uniform_columns))
+                             labels=tuple(labels))
 
     @cached_property
     def _out(self):
@@ -285,75 +286,38 @@ def symmetrize(g):
     return DirectedGraph(n=g.n, keys=keys, labels=g.labels)
 
 
-def is_strongly_connected(g):
-    if g.n <= 1:
-        return True
-    return (_reach_all(g.out_ptr, g.out_idx)
-            and _reach_all(g.in_ptr, g.in_idx))
+def is_connected(g):
+    """True if g, a graph closed under reversal, is connected."""
+    return _components(g.out_ptr, g.out_idx) <= 1
 
 
-def _reach_all(indptr, indices):
-    """True if node 0 reaches every row of the CSR."""
+def is_oriented_tree(g):
+    """True if g's underlying undirected graph is a forest without an
+    antiparallel pair. A graph with c undirected components has at least
+    n - c undirected edges (n - c only for a forest) and at least as many
+    keys (as many only when no edge has its reverse), so one with n or
+    more edges is refused without a search."""
+    n, m = g.n, g.keys.size
+    return m < n and m == n - _components(*_csr(n, symmetric_keys(g.keys, n)))
+
+
+def _components(indptr, indices):
+    """How many depth-first searches, started from rows 0, 1, ... not yet
+    reached, it takes to reach every row of the CSR: on a symmetric CSR,
+    the number of connected components."""
     ptr, idx = indptr.tolist(), indices.tolist()
     seen = [False] * (len(ptr) - 1)
-    seen[0] = True
-    stack, found = [0], 1
-    while stack:
-        u = stack.pop()
-        for v in idx[ptr[u]:ptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                found += 1
-                stack.append(v)
-    return found == len(seen)
-
-
-def validate_oriented_tree(g):
-    """Check that the underlying undirected graph is acyclic.
-
-    Returns (True, None) or (False, cycle) where cycle is a list of node
-    labels forming an undirected cycle.
-    """
-    # An antiparallel pair is two distinct undirected walks between the
-    # same endpoints, hence a cycle; report the one of smallest key.
-    n, keys = g.n, g.keys
-    rev = _reversed(keys, n)
-    pos = np.minimum(np.searchsorted(keys, rev), keys.size - 1)
-    anti = keys[(keys < rev) & (keys[pos] == rev)]
-    if anti.size:
-        u, v = divmod(int(anti[0]), n)
-        return False, [g.labels[u], g.labels[v]]
-
-    und_ptr, und_idx = _csr(n, symmetric_keys(keys, n))
-    ptr, idx = und_ptr.tolist(), und_idx.tolist()
-    visited = [False] * n
-    parent = [-1] * n
-    for root in range(n):
-        if visited[root]:
+    starts = 0
+    for root in range(len(seen)):
+        if seen[root]:
             continue
-        visited[root] = True
+        starts += 1
+        seen[root] = True
         stack = [root]
         while stack:
             u = stack.pop()
             for v in idx[ptr[u]:ptr[u + 1]]:
-                if not visited[v]:
-                    visited[v] = True
-                    parent[v] = u
+                if not seen[v]:
+                    seen[v] = True
                     stack.append(v)
-                elif v != parent[u] and parent[v] != u:
-                    return False, _cycle_labels(g, parent, u, v)
-    return True, None
-
-
-def _cycle_labels(g, parent, u, v):
-    # Walk both nodes up to the root, splice at the lowest common ancestor.
-    path_u = [u]
-    while parent[path_u[-1]] != -1:
-        path_u.append(parent[path_u[-1]])
-    anc = set(path_u)
-    path_v = [v]
-    while path_v[-1] not in anc:
-        path_v.append(parent[path_v[-1]])
-    meet = path_v[-1]
-    cycle = path_u[: path_u.index(meet) + 1] + path_v[-2::-1]
-    return [g.labels[i] for i in cycle]
+    return starts

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotOrientedTreeError
-from .graph import validate_oriented_tree
+from .graph import is_oriented_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +154,7 @@ def closeness_centrality(ls, g):
 
 def tree_betweenness(ls, g):
     """Distributed betweenness of an oriented tree; NotOrientedTreeError
-    names an undirected cycle otherwise.
+    otherwise.
 
     For an out-neighbor j, the branch size |R_{i->j}| is 1 + sum_t |R_j^t|
     (the 1 counts j itself); symmetrically for in-branches. Every ordered
@@ -162,9 +162,8 @@ def tree_betweenness(ls, g):
     oriented tree are disjoint. Node i sums its branch sizes over its CSR
     rows; the sizes are whole numbers, so every sum and product is exact.
     """
-    ok, cycle = validate_oriented_tree(g)
-    if not ok:
-        raise NotOrientedTreeError(f"not an oriented tree; undirected cycle {cycle}")
+    if not is_oriented_tree(g):
+        raise NotOrientedTreeError("not an oriented tree")
     n = g.n
     succ = 1.0 + (ls.fwd > 0).sum(axis=1)
     pred = 1.0 + (ls.bwd > 0).sum(axis=1)

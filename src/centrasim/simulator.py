@@ -68,7 +68,8 @@ class LocalityAudit:
     def violations(self, actors):
         """(k, actor, sorted foreign ids) for every activation k of an actor
         whose row holds an id that is neither the actor nor one of its
-        in-neighbors in the graph, in order."""
+        in-neighbors in the graph, in order; an actor's events share one
+        list."""
         g, rows = actors.graph, actors.rows
         owner = np.repeat(np.arange(rows.n), np.diff(rows.indptr))
         cols = rows.indices
@@ -78,12 +79,12 @@ class LocalityAudit:
             ids.setdefault(s, set()).add(j)
         if not ids:
             return []
+        ids = {s: sorted(js) for s, js in ids.items()}
         bad = np.zeros(rows.n, dtype=bool)
         bad[list(ids)] = True
         events = np.frombuffer(self.events, dtype=self.events.typecode)
         ks = np.flatnonzero(bad[events])
-        return [(k, s, sorted(ids[s]))
-                for k, s in zip(ks.tolist(), events[ks].tolist())]
+        return [(k, s, ids[s]) for k, s in zip(ks.tolist(), events[ks].tolist())]
 
 
 def activate(state, s, rows):

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionError
-from .graph import DirectedGraph, is_strongly_connected, map_distinct, \
+from .graph import DirectedGraph, is_connected, map_distinct, \
     symmetric_keys, symmetrize
 from .matrix import frozen
 
@@ -119,7 +119,7 @@ def build_transition_matrix(g, omega):
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega={omega} outside [0,1]")
     sym = symmetrize(g)
-    if omega == 0.0 and not is_strongly_connected(sym):
+    if omega == 0.0 and not is_connected(sym):
         raise AssumptionError(
             "communication graph is not connected; the omega=0 walk "
             "cannot reach every page (strong connectivity assumption)"
@@ -141,8 +141,8 @@ def build_transition_matrix_temporal(graphs, omega, joint_window=None):
 
 
 def check_joint_connectivity(graphs, q):
-    """Union of each q-long window of snapshots must be strongly connected
-    once symmetrized (the surfer walks the communication edges). Windows
+    """Union of each q-long window of snapshots must be connected once
+    symmetrized (the surfer walks the communication edges). Windows
     holding the same set of snapshot objects are checked once."""
     n = graphs[0].n
     passed = set()
@@ -154,7 +154,7 @@ def check_joint_connectivity(graphs, q):
         keys = np.concatenate([g.keys for g in content])
         joint = DirectedGraph(n=n, keys=symmetric_keys(keys, n),
                               labels=graphs[0].labels)
-        if not is_strongly_connected(joint):
+        if not is_connected(joint):
             raise AssumptionError(
                 f"joint graph of snapshots [{start}, {start + len(window)}) is "
                 f"not strongly connected (joint connectivity, window {q})"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from centrasim import _native
-from centrasim.graph import DirectedGraph, parse_edge_list, symmetrize
-from centrasim.graph import is_strongly_connected
+from centrasim.graph import DirectedGraph, is_connected, parse_edge_list, \
+    symmetrize
 
 # acceptance-criterion verdict lines, echoed after the run summary
 CRITERION_LINES = []
@@ -125,7 +125,7 @@ def random_connected_digraph(rng, n, p=0.15):
     """Repaired digraph whose symmetrized communication graph is connected."""
     for _ in range(200):
         g = random_digraph(rng, n, p)
-        if is_strongly_connected(symmetrize(g)):
+        if is_connected(symmetrize(g)):
             return g
     raise RuntimeError("could not draw a connected graph")
 
@@ -140,3 +140,27 @@ def random_oriented_tree(rng, n):
         else:
             edges.add((v, u))
     return DirectedGraph.from_edges(n, edges)
+
+
+def union_find_acyclic(g):
+    """Reference for is_oriented_tree: no antiparallel pair, and union-find
+    over the undirected edges never joins two nodes already joined."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    und = set()
+    for (u, v) in g.edges:
+        if (v, u) in g.edges and (min(u, v), max(u, v)) in und:
+            return False
+        und.add((min(u, v), max(u, v)))
+    for (u, v) in und:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True

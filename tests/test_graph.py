@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from centrasim.errors import GraphFormatError, RepairError
-from centrasim.graph import (DirectedGraph, parse_edge_list,
+from centrasim.graph import (DirectedGraph, is_oriented_tree, parse_edge_list,
                              parse_temporal_edge_list, repair_dangling,
-                             symmetrize, validate_oriented_tree)
+                             symmetrize)
 
 from conftest import (random_digraph, serialize_edge_list,
-                      serialize_temporal_edge_list)
+                      serialize_temporal_edge_list, union_find_acyclic)
 
 
 class TestParseEdgeList:
@@ -152,53 +152,20 @@ class TestSymmetrize:
 
 class TestOrientedTree:
     def test_directed_path(self):
-        g = parse_edge_list("a b\nb c")
-        ok, diag = validate_oriented_tree(g)
-        assert ok and diag is None
+        assert is_oriented_tree(parse_edge_list("a b\nb c"))
 
     def test_undirected_triangle(self):
-        g = parse_edge_list("a b\nb c\na c")
-        ok, cycle = validate_oriented_tree(g)
-        assert not ok
-        assert set(cycle) == {"a", "b", "c"}
+        assert not is_oriented_tree(parse_edge_list("a b\nb c\na c"))
 
     def test_mixed_orientation_star(self):
-        g = parse_edge_list("hub a\nb hub\nhub c")
-        ok, _ = validate_oriented_tree(g)
-        assert ok
+        assert is_oriented_tree(parse_edge_list("hub a\nb hub\nhub c"))
 
     def test_antiparallel_pair_is_cycle(self):
-        g = parse_edge_list("a b\nb a")
-        ok, cycle = validate_oriented_tree(g)
-        assert not ok
-        assert set(cycle) == {"a", "b"}
+        assert not is_oriented_tree(parse_edge_list("a b\nb a"))
 
     def test_agrees_with_union_find(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             n = int(rng.integers(2, 20))
             g = random_digraph(rng, n, p=0.12, repaired=False)
-            ok, _ = validate_oriented_tree(g)
-            assert ok == _union_find_acyclic(g)
-
-
-def _union_find_acyclic(g):
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    und = set()
-    for (u, v) in g.edges:
-        if (v, u) in g.edges and (min(u, v), max(u, v)) in und:
-            return False
-        und.add((min(u, v), max(u, v)))
-    for (u, v) in und:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+            assert is_oriented_tree(g) == union_find_acyclic(g)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from centrasim.errors import NotOrientedTreeError
-from centrasim.graph import DirectedGraph, parse_edge_list, validate_oriented_tree
+from centrasim.graph import DirectedGraph, parse_edge_list
 from centrasim.levelsets import (CentralityVector, MessageAudit,
                                  closeness_centrality, degree_centrality,
                                  normalize, run_levelset, tree_betweenness)
 from centrasim.oracles import bfs_all_pairs, brandes_betweenness
 
-from conftest import dense50_graph, random_digraph, random_oriented_tree
+from conftest import dense50_graph, random_digraph, random_oriented_tree, \
+    union_find_acyclic
 from test_acceptance import weblike_graph
 
 
@@ -306,9 +307,8 @@ def old_tree_betweenness(ls, g):
     (source, target) pair through i is counted once because branches of an
     oriented tree are disjoint.
     """
-    ok, cycle = validate_oriented_tree(g)
-    if not ok:
-        raise NotOrientedTreeError(f"not an oriented tree; undirected cycle {cycle}")
+    if not union_find_acyclic(g):
+        raise NotOrientedTreeError("not an oriented tree")
     n = g.n
     vals = np.zeros(n)
     succ = np.array(

@@ -11,13 +11,14 @@ import scipy.sparse as sp
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from centrasim import _native, engine  # noqa: E402
+from centrasim import _native, engine, graph  # noqa: E402
 from centrasim.cli import KEYS, main  # noqa: E402
 from centrasim.engine import KaczmarzState, project, run, \
     run_temporal  # noqa: E402
 from centrasim.errors import GraphFormatError, RepairError  # noqa: E402
 from centrasim.graph import (DirectedGraph, TemporalGraphSequence,  # noqa: E402
-                             map_distinct, parse_edge_list, parse_temporal_edge_list,
+                             is_connected, is_oriented_tree, map_distinct,
+                             parse_edge_list, parse_temporal_edge_list,
                              repair_dangling, symmetrize)
 from centrasim.levelsets import run_levelset  # noqa: E402
 from centrasim.matrix import (PersistentAverage, build_hyperlink_matrix,  # noqa: E402
@@ -30,8 +31,8 @@ from centrasim.simulator import (Actors, LocalityAudit, activate,  # noqa: E402
 from centrasim.surfer import SurferChain, _metropolis_hastings  # noqa: E402
 
 from conftest import DANGLING_TEXT, as_scipy, dense50_graph, needs_cc, \
-    random_digraph, serialize_edge_list, \
-    serialize_temporal_edge_list  # noqa: E402
+    random_digraph, random_oriented_tree, serialize_edge_list, \
+    serialize_temporal_edge_list, union_find_acyclic  # noqa: E402
 from test_acceptance import weblike_graph  # noqa: E402
 from test_surfer import assert_kernel_equals_reference  # noqa: E402
 
@@ -233,6 +234,71 @@ def test_graph_arrays_equal_sorted_adjacency_lists(case):
         assert r.edges == edges | {(d, u) for d in dangling
                                    for (u, v) in edges if v == d}
         assert repair_dangling(r, "backlink") is r
+
+
+def _bfs_connected(g):
+    """Breadth-first reference: node 0 reaches every node of g over its
+    edges taken in either direction."""
+    nbrs = [set() for _ in range(g.n)]
+    for (u, v) in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    seen, queue = {0}, [0]
+    for u in queue:
+        for v in nbrs[u] - seen:
+            seen.add(v)
+            queue.append(v)
+    return len(seen) == g.n
+
+
+@st.composite
+def near_trees(draw):
+    """(graph, is a tree) for a random oriented tree as it is, with one edge
+    also reversed into an antiparallel pair, or with one chord added."""
+    n = draw(st.integers(1, 40))
+    tree = random_oriented_tree(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    edges = set(tree.edges)
+    chords = [(u, v) for u in range(n) for v in range(n)
+              if u != v and (u, v) not in edges and (v, u) not in edges]
+    change = draw(st.sampled_from(["none", "antiparallel", "chord"]))
+    if change == "antiparallel" and edges:
+        u, v = draw(st.sampled_from(sorted(edges)))
+        edges.add((v, u))
+    elif change == "chord" and chords:
+        edges.add(draw(st.sampled_from(chords)))
+    return DirectedGraph.from_edges(n, edges), edges == tree.edges
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@example(DirectedGraph.from_edges(1, []))
+@example(DirectedGraph.from_edges(5, []))
+@given(digraphs())
+def test_structure_checks_equal_references_on_digraphs(g):
+    assert is_oriented_tree(g) == union_find_acyclic(g)
+    assert is_connected(symmetrize(g)) == _bfs_connected(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(near_trees())
+def test_structure_checks_equal_references_on_near_trees(case):
+    g, tree = case
+    assert is_oriented_tree(g) == union_find_acyclic(g) == tree
+    assert is_connected(symmetrize(g)) and _bfs_connected(g)
+
+
+def test_n_or_more_edges_are_refused_without_a_search(monkeypatch, fig1):
+    """web-centrality's check stays O(1): a graph with as many edges as
+    nodes, or more, never reaches graph._components."""
+    def search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(graph, "_components", search)
+    for g in (fig1, dense50_graph(), weblike_graph(np.random.default_rng(101), 400),
+              parse_edge_list("a b\nb a"), parse_edge_list("a b\nb c\nc a")):
+        assert g.keys.size >= g.n
+        assert not is_oriented_tree(g)
+    with pytest.raises(AssertionError, match="searched"):
+        is_oriented_tree(parse_edge_list("a b\nb c"))
 
 
 @st.composite
