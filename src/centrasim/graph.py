@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _native
 from .errors import GraphFormatError, RepairError
 from .matrix import _sorted_unique
 
@@ -146,8 +147,6 @@ def _tokenize(text):
 
 def _compiled(text, width):
     """The library's parse of plain text (``_native.parse``), or None."""
-    from . import _native  # here: _native imports the surfer, which imports us
-
     lib = _native.load()
     return None if lib is None else _native.parse(lib, text, width)
 

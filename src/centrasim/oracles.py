@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _native
 from .levelsets import CentralityVector
 from .matrix import Csr, apply_google_matrix, frozen, in_links
 
@@ -205,8 +206,6 @@ def power_method(w, m, tol=1e-12, max_iter=10_000):
 
 def brandes_betweenness(g):
     """Exact betweenness over ordered pairs, unit edge lengths."""
-    from . import _native  # here: importing the package leaves it out
-
     lib = _native.load()
     bc = _loop_betweenness(g) if lib is None else _native.brandes(lib, g)
     return CentralityVector(values=bc, kind="betweenness")
@@ -214,8 +213,6 @@ def brandes_betweenness(g):
 
 def bfs_all_pairs(g):
     """Hop distances d[i, j]; inf where j is unreachable from i."""
-    from . import _native
-
     lib = _native.load()
     return _loop_all_pairs(g) if lib is None else _native.bfs_all_pairs(lib, g)
 

@@ -7,14 +7,18 @@ weight to a neighbor is min{1/(deg_i+1), 1/(deg_j+1)} with the leftover
 mass kept on the diagonal, and an omega-weighted uniform restart is mixed
 on top.
 
-The kernel is stored row-wise in flat numpy arrays, built by vectorized
-passes over the symmetrized graph's CSR. A hop is one bisect within the
-current row's cumulative weights. The chain draws its uniforms in blocks
-and keeps the current block and a position in it, which both samplers
-read: sample_next, which reads the kernel as Python lists (bisect on
-numpy arrays is 2-3x slower), converted the first time it samples on a
-kernel; and the engine's compiled steps, which read the arrays themselves
-and so never build the lists.
+The kernel is stored row-wise in flat numpy arrays: row i holds i's sorted
+neighbors, then a self slot for i. It is built in one pass over the
+symmetrized graph's CSR, which takes the rows of each degree as one
+equal-width block: np.cumsum along a block's rows adds each row left to
+right from its first hop, as a Python loop adds them, and the self slot,
+holding 0.0 until then, ends with the row's hop total. A hop is one
+bisect within the current row's cumulative weights. The chain draws its
+uniforms in blocks and keeps the current block and a position in it,
+which both samplers read: sample_next, which reads the kernel as Python
+lists (bisect on numpy arrays is 2-3x slower), converted the first time
+it samples on a kernel; and the engine's compiled steps, which read the
+arrays themselves and so never build the lists.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import numpy as np
 from .errors import AssumptionError
 from .graph import DirectedGraph, is_connected, map_distinct, \
     symmetric_keys, symmetrize
-from .matrix import frozen
+from .matrix import Csr, frozen
 
 # steps per block of uniforms the chain draws at once: each step takes
 # exactly two, so drawing 2*BLOCK_STEPS at a time yields the same stream;
@@ -61,56 +65,29 @@ class TransitionMatrix:
         return self.indptr.tolist(), self.targets.tolist(), self.cum.tolist()
 
     def dense(self):
-        p = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        p[rows, self.targets] = self.prob
-        return p
-
-
-def _row_running_sums(indptr, vals):
-    """Each row's running sums of vals, added left to right from the row's
-    first value, as a Python loop or itertools.accumulate adds them.
-
-    Rows are taken in buckets of degree (w/2, w] for w = 1, 2, 4, ...,
-    zero-padded to width w: np.cumsum along a row is sequential, and the
-    padding zeros come after every value the row keeps.
-    """
-    deg = np.diff(indptr)
-    out = np.empty_like(vals)
-    lo, width = 0, 1
-    while lo < deg.max(initial=0):
-        rows = np.flatnonzero((deg > lo) & (deg <= width))
-        if rows.size:
-            take = np.arange(width) < deg[rows, None]
-            pos = np.where(take, indptr[rows, None] + np.arange(width), 0)
-            block = np.where(take, vals[pos], 0.0)
-            out[pos[take]] = np.cumsum(block, axis=1)[take]
-        lo, width = width, 2 * width
-    return out
+        return Csr(self.indptr, self.targets, self.prob, (self.n, self.n)).toarray()
 
 
 def _metropolis_hastings(sym):
     """Kernel of the pure chain on the symmetric graph sym: hop i -> j with
-    min{1/(deg_i+1), 1/(deg_j+1)}, the rest of row i kept on i."""
+    min{1/(deg_i+1), 1/(deg_j+1)}, the rest of row i kept on i. The
+    rows of degree d are summed as one (rows x (d+1)) block."""
     n, ptr, nbr = sym.n, sym.out_ptr, sym.out_idx
     deg = np.diff(ptr)
     inv = 1.0 / (deg + 1)
-    row = np.repeat(np.arange(n), deg)
-    hop = np.minimum(inv[row], inv[nbr])
-    run = _row_running_sums(ptr, hop)
-    # row i gains a self slot after its ptr[i+1]-ptr[i] hops
     indptr = ptr + np.arange(n + 1)
-    edge_pos = np.arange(nbr.size) + row
     self_pos = indptr[1:] - 1
-    hops_total = np.zeros(n)
-    has_hops = deg > 0
-    hops_total[has_hops] = run[ptr[1:][has_hops] - 1]
-    targets = np.empty(indptr[-1], dtype=np.int64)
-    prob = np.empty(indptr[-1])
-    cum = np.empty(indptr[-1])
-    targets[edge_pos], targets[self_pos] = nbr, np.arange(n)
-    prob[edge_pos], prob[self_pos] = hop, 1.0 - hops_total
-    cum[edge_pos], cum[self_pos] = run, 1.0
+    targets = np.insert(nbr, ptr[1:], np.arange(n))
+    prob = np.insert(np.minimum(np.repeat(inv, deg), inv[nbr]), ptr[1:], 0.0)
+    cum = np.empty_like(prob)
+    order = np.argsort(deg, kind="stable")
+    first = np.flatnonzero(np.diff(deg[order], prepend=-1))  # a degree's start
+    for lo, hi in zip(first.tolist(), first[1:].tolist() + [n]):
+        rows = order[lo:hi]
+        pos = indptr[rows, None] + np.arange(deg[rows[0]] + 1)
+        cum[pos] = np.cumsum(prob[pos], axis=1)
+    prob[self_pos] = 1.0 - cum[self_pos]
+    cum[self_pos] = 1.0
     return TransitionMatrix(n=n, indptr=indptr, targets=targets, prob=prob, cum=cum)
 
 
@@ -180,7 +157,6 @@ class SurferChain:
 
     def __post_init__(self):
         self._block, self._pos = array("d"), 0
-        self._lists = None  # the kernel's lists, read on the first sample
 
     @cached_property
     def _rng(self):
@@ -195,7 +171,6 @@ class SurferChain:
     def set_matrix(self, matrix):
         """Swap kernels mid-walk (temporal snapshots); state carries over."""
         self.matrix = matrix
-        self._lists = None
 
     def uniforms(self):
         """The current block of uniforms and the position of its next unread
@@ -222,9 +197,7 @@ class SurferChain:
             if nxt == self.n:  # guard the open-interval edge
                 nxt = self.n - 1
         else:
-            if self._lists is None:
-                self._lists = self.matrix.lists
-            ptr, targets, cum = self._lists
+            ptr, targets, cum = self.matrix.lists
             c = self.current
             nxt = targets[bisect_right(cum, v, ptr[c], ptr[c + 1])]
         self.current = nxt

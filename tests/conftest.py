@@ -130,6 +130,22 @@ def random_connected_digraph(rng, n, p=0.15):
     raise RuntimeError("could not draw a connected graph")
 
 
+def digraphs(min_n=1, max_n=25):
+    """Hypothesis strategy: simple digraphs on min_n..max_n nodes with any
+    edge set. hypothesis is imported here, so that only the properties
+    need it."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def draw_digraph(draw):
+        n = draw(st.integers(min_n, max_n))
+        node = st.integers(0, n - 1)
+        edges = draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1])))
+        return DirectedGraph.from_edges(n, edges)
+
+    return draw_digraph()
+
+
 def random_oriented_tree(rng, n):
     """Uniform random tree skeleton with random edge orientations."""
     edges = set()

@@ -30,19 +30,11 @@ from centrasim.simulator import (Actors, LocalityAudit, activate,  # noqa: E402
                                  assemble_vector, run_simulation)
 from centrasim.surfer import SurferChain, _metropolis_hastings  # noqa: E402
 
-from conftest import DANGLING_TEXT, as_scipy, dense50_graph, needs_cc, \
-    random_digraph, random_oriented_tree, serialize_edge_list, \
+from conftest import DANGLING_TEXT, as_scipy, dense50_graph, digraphs, \
+    needs_cc, random_digraph, random_oriented_tree, serialize_edge_list, \
     serialize_temporal_edge_list, union_find_acyclic  # noqa: E402
 from test_acceptance import weblike_graph  # noqa: E402
 from test_surfer import assert_kernel_equals_reference  # noqa: E402
-
-
-@st.composite
-def digraphs(draw, min_n=1, max_n=25):
-    n = draw(st.integers(min_n, max_n))
-    node = st.integers(0, n - 1)
-    edges = draw(st.sets(st.tuples(node, node).filter(lambda e: e[0] != e[1])))
-    return DirectedGraph.from_edges(n, edges)
 
 
 @st.composite

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from centrasim.errors import AssumptionError
-from centrasim.graph import parse_edge_list, symmetrize
+from centrasim.graph import DirectedGraph, parse_edge_list, symmetrize
 from centrasim.surfer import (BLOCK_STEPS, SurferChain, _metropolis_hastings,
                               build_transition_matrix,
                               build_transition_matrix_temporal,
                               check_joint_connectivity, empirical_stationary)
 
-from conftest import FIG1_TEXT, dense50_graph, random_connected_digraph
+from conftest import FIG1_TEXT, dense50_graph, digraphs, \
+    random_connected_digraph
 from test_acceptance import weblike_graph
 
 
@@ -124,6 +125,8 @@ def _kernel_cases():
     yield "fig1", parse_edge_list(FIG1_TEXT)
     yield "dense50", dense50_graph()
     yield "web400", weblike_graph(np.random.default_rng(101), 400)
+    # one hub of degree 199 among 199 rows of degree 1
+    yield "star", DirectedGraph.from_edges(200, [(i, 0) for i in range(1, 200)])
     for t in range(40):
         yield f"random{t}", random_connected_digraph(rng, int(rng.integers(2, 60)))
 
@@ -182,6 +185,20 @@ class TestTransitionMatrix:
         g = weblike_graph(np.random.default_rng(101), 4000)
         sym = symmetrize(g)
         assert_kernel_equals_reference(_metropolis_hastings(sym), sym)
+
+    def test_kernel_equals_reference_on_random_digraphs(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings
+
+        @settings(derandomize=True, deadline=None)
+        @example(DirectedGraph.from_edges(1, ()))
+        @example(DirectedGraph.from_edges(7, ()))
+        @given(digraphs())
+        def kernel_equals_reference(g):
+            sym = symmetrize(g)
+            assert_kernel_equals_reference(_metropolis_hastings(sym), sym)
+
+        kernel_equals_reference()
 
     def test_flat_layout_equals_tuple_rows(self):
         # outputs are pinned byte for byte: the flat kernel must hold the
